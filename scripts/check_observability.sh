@@ -162,12 +162,12 @@ if ! grep -q "${TRACE_ID}" "${SERVE_TRACE}"; then
 fi
 
 # Delta pipeline end to end: the delta-labelled unit tests (equivalence
-# gate, ingest-while-serving, state round trips), then a CLI smoke over
-# the full promotion path — run the base corpus with --state-out, ingest
-# the held-out delta tables, and require the incrementally built snapshot
-# to be content-identical to the one-shot full run (snapshot_diff exit 0)
-# while genuinely differing from the base (exit 1). The ingest ledger
-# must validate like a full run's.
+# gate, ingest-while-serving, state round trips, the model file), then a
+# CLI smoke over the full promotion path — run the base corpus with
+# --state-out, ingest the held-out delta tables with the saved model, and
+# require the incrementally built snapshot to be content-identical to the
+# one-shot full run (snapshot_diff exit 0) while genuinely differing from
+# the base (exit 1). The ingest ledger must validate like a full run's.
 ctest --test-dir "${BUILD_DIR}" -L delta --output-on-failure -j "$(nproc)"
 
 DELTA_DIR="${BUILD_DIR}/delta_smoke"
@@ -191,7 +191,47 @@ mkdir -p "${DELTA_DIR}"
     --publish-snapshot "${DELTA_DIR}/base.bin" --snapshot-version 1 \
     >/dev/null
 
-"${BUILD_DIR}/tools/ltee_cli" ingest --state "${DELTA_DIR}/state" \
+# Ingest loads the run's model.bin instead of retraining. A corrupt (one
+# flipped byte) or missing model must fail the ingest before it writes
+# anything: non-zero exit, state.tsv and corpus.tsv unchanged.
+STATE="${DELTA_DIR}/state"
+state_sums() { sha256sum "${STATE}/state.tsv" "${STATE}/corpus.tsv"; }
+STATE_BEFORE="$(state_sums)"
+cp "${STATE}/model.bin" "${DELTA_DIR}/model.bin.good"
+BYTE="$(od -An -tu1 -j 1000 -N 1 "${STATE}/model.bin" | tr -d ' ')"
+printf "$(printf '\\%03o' $(( BYTE ^ 0x40 )))" \
+    | dd of="${STATE}/model.bin" bs=1 seek=1000 conv=notrunc status=none
+if cmp -s "${STATE}/model.bin" "${DELTA_DIR}/model.bin.good"; then
+    echo "check_observability: FAIL: model byte flip did not change the file" >&2
+    exit 1
+fi
+for model_case in flipped deleted; do
+    [[ "${model_case}" == deleted ]] && rm "${STATE}/model.bin"
+    if "${BUILD_DIR}/tools/ltee_cli" ingest --state "${STATE}" \
+        --delta "${DELTA_DIR}/corpus_delta.tsv" >/dev/null 2>&1; then
+        echo "check_observability: FAIL: ingest accepted a ${model_case}" \
+            "model.bin" >&2
+        exit 1
+    fi
+    if [[ "$(state_sums)" != "${STATE_BEFORE}" ]]; then
+        echo "check_observability: FAIL: ingest with a ${model_case}" \
+            "model.bin changed the state dir" >&2
+        exit 1
+    fi
+done
+mv "${DELTA_DIR}/model.bin.good" "${STATE}/model.bin"
+
+# Every output write is checked: a ledger that cannot be written (/dev/full
+# accepts the open and fails the write) fails the ingest.
+cp -r "${STATE}" "${DELTA_DIR}/state_full"
+if "${BUILD_DIR}/tools/ltee_cli" ingest --state "${DELTA_DIR}/state_full" \
+    --delta "${DELTA_DIR}/corpus_delta.tsv" --ledger /dev/full \
+    >/dev/null 2>&1; then
+    echo "check_observability: FAIL: ingest --ledger /dev/full exited 0" >&2
+    exit 1
+fi
+
+"${BUILD_DIR}/tools/ltee_cli" ingest --state "${STATE}" \
     --delta "${DELTA_DIR}/corpus_delta.tsv" \
     --publish-snapshot "${DELTA_DIR}/delta.bin" --snapshot-version 2 \
     --ledger "${DELTA_DIR}/delta_ledger.jsonl"
@@ -205,6 +245,16 @@ if "${BUILD_DIR}/tools/snapshot_diff" \
     exit 1
 fi
 "${BUILD_DIR}/tools/validate_ledger" "${DELTA_DIR}/delta_ledger.jsonl"
+
+# Same for run: N-Triples that cannot be written fail the run.
+if "${BUILD_DIR}/tools/ltee_cli" run --kb "${DELTA_DIR}/kb.tsv" \
+    --corpus "${DELTA_DIR}/corpus_delta.tsv" \
+    --gs-corpus "${DELTA_DIR}/gs_corpus.tsv" \
+    --gold "${DELTA_DIR}/gold.tsv" --seed 41 --ntriples /dev/full \
+    >/dev/null 2>&1; then
+    echo "check_observability: FAIL: run --ntriples /dev/full exited 0" >&2
+    exit 1
+fi
 
 # Sampling profiler end to end: the profile-labelled unit tests, a
 # fixed-seed profiled run whose collapsed stacks must surface the row

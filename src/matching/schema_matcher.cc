@@ -352,6 +352,20 @@ void SchemaMatcher::Learn(const webtable::PreparedCorpus& prepared,
   }
 }
 
+SchemaMatcherParams SchemaMatcher::ExportParams() const {
+  SchemaMatcherParams params;
+  params.weights.assign(weights_.begin(), weights_.end());
+  params.thresholds.assign(thresholds_.begin(), thresholds_.end());
+  std::sort(params.weights.begin(), params.weights.end());
+  std::sort(params.thresholds.begin(), params.thresholds.end());
+  return params;
+}
+
+void SchemaMatcher::ImportParams(const SchemaMatcherParams& params) {
+  weights_ = {params.weights.begin(), params.weights.end()};
+  thresholds_ = {params.thresholds.begin(), params.thresholds.end()};
+}
+
 std::array<double, kNumMatchers> SchemaMatcher::AverageWeights() const {
   std::array<double, kNumMatchers> out;
   out.fill(0.0);

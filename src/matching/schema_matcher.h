@@ -3,6 +3,7 @@
 
 #include <array>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "index/label_index.h"
@@ -42,6 +43,14 @@ struct AttributeAnnotation {
   kb::PropertyId property = kb::kInvalidProperty;
 };
 
+/// What SchemaMatcher::Learn learns, sorted by id: per-class matcher
+/// weights and per-property thresholds.
+struct SchemaMatcherParams {
+  std::vector<std::pair<kb::ClassId, std::array<double, kNumMatchers>>>
+      weights;
+  std::vector<std::pair<kb::PropertyId, double>> thresholds;
+};
+
 /// The complete schema-matching component (Section 3.1): data-type
 /// detection, label attribute detection, table-to-class matching, and
 /// attribute-to-property matching with five matchers aggregated by
@@ -78,6 +87,12 @@ class SchemaMatcher {
   std::array<double, kNumMatchers> AverageWeights() const;
 
   const kb::KnowledgeBase& knowledge_base() const { return *kb_; }
+
+  SchemaMatcherParams ExportParams() const;
+
+  /// Replaces the learned weights and thresholds with `params` (ids the
+  /// KB lacks are never looked up, so they are inert).
+  void ImportParams(const SchemaMatcherParams& params);
 
  private:
   struct Prepared {

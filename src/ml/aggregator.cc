@@ -75,6 +75,54 @@ double ScoreAggregator::Score(const ScoredFeatures& f) const {
   return 0.0;
 }
 
+AggregatorParams ScoreAggregator::ExportParams() const {
+  AggregatorParams params;
+  params.kind = kind_;
+  params.num_metrics = static_cast<uint32_t>(num_metrics_);
+  params.wa_weights = wa_.weights();
+  params.wa_threshold = wa_.threshold();
+  params.blend_wa = blend_wa_;
+  params.forest = forest_.ExportParams();
+  return params;
+}
+
+bool ScoreAggregator::ImportParams(AggregatorParams params,
+                                   std::string* error) {
+  const auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (params.kind != AggregationKind::kWeightedAverage &&
+      params.kind != AggregationKind::kRandomForest &&
+      params.kind != AggregationKind::kCombined) {
+    return fail("unknown aggregation kind");
+  }
+  const size_t expected_weights =
+      params.kind == AggregationKind::kRandomForest ? 0 : params.num_metrics;
+  if (params.wa_weights.size() != expected_weights) {
+    return fail(
+        "weighted-average weight count differs from the metric count");
+  }
+  // FlattenForForest feeds a trained forest every metric's sim and conf;
+  // an untrained one has no features (MetricImportances reads one
+  // importance per sim and conf).
+  if (params.forest.num_features != 0 &&
+      params.forest.num_features !=
+          2 * static_cast<uint64_t>(params.num_metrics)) {
+    return fail("forest feature count is not two per metric");
+  }
+  RandomForestRegressor forest;
+  if (!forest.ImportParams(std::move(params.forest), error)) return false;
+  kind_ = params.kind;
+  num_metrics_ = params.num_metrics;
+  wa_ = WeightedAverageModel(std::move(params.wa_weights),
+                             params.wa_threshold);
+  blend_wa_ = params.blend_wa;
+  forest_ = std::move(forest);
+  trained_ = true;
+  return true;
+}
+
 std::vector<double> ScoreAggregator::MetricImportances() const {
   std::vector<double> out(num_metrics_, 0.0);
   if (num_metrics_ == 0) return out;

@@ -1,6 +1,8 @@
 #ifndef LTEE_ML_AGGREGATOR_H_
 #define LTEE_ML_AGGREGATOR_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ml/dataset.h"
@@ -19,6 +21,17 @@ enum class AggregationKind {
   kRandomForest,
   /// Learned weighted blend of the two above (the best-performing variant).
   kCombined,
+};
+
+/// Everything a trained ScoreAggregator holds, as a model file stores it.
+struct AggregatorParams {
+  AggregationKind kind = AggregationKind::kCombined;
+  uint32_t num_metrics = 0;
+  /// The weighted-average model (no weights when `kind` is kRandomForest).
+  std::vector<double> wa_weights;
+  double wa_threshold = 0.5;
+  double blend_wa = 0.5;
+  ForestParams forest;
 };
 
 /// Trains and applies one of the aggregation approaches, producing scores
@@ -42,6 +55,14 @@ class ScoreAggregator {
   /// the average of the forest importance (sim+conf features of a metric
   /// pooled) and the normalized weighted-average weight.
   std::vector<double> MetricImportances() const;
+
+  AggregatorParams ExportParams() const;
+
+  /// Replaces this aggregator with the trained state in `params`. Rejects
+  /// (false + `error`, aggregator unchanged) an unknown kind, weights not
+  /// one per metric, a forest not over the metrics' sims + confs, and
+  /// anything RandomForestRegressor::ImportParams rejects.
+  bool ImportParams(AggregatorParams params, std::string* error);
 
   AggregationKind kind() const { return kind_; }
   bool trained() const { return trained_; }

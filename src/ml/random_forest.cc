@@ -133,7 +133,6 @@ void RandomForestRegressor::Train(
     const std::vector<std::vector<double>>& features,
     const std::vector<double>& targets, util::Rng& rng) {
   trees_.clear();
-  oob_indices_.clear();
   const size_t n = features.size();
   if (n == 0) return;
   num_features_ = features.front().size();
@@ -157,16 +156,13 @@ void RandomForestRegressor::Train(
     Tree tree;
     BuildNode(tree, features, targets, sample, 0,
               static_cast<int>(sample.size()), 0, rng);
-    std::vector<int> oob;
     for (size_t i = 0; i < n; ++i) {
       if (!in_bag[i]) {
-        oob.push_back(static_cast<int>(i));
         oob_sum[i] += tree.PredictOne(features[i]);
         oob_count[i] += 1;
       }
     }
     trees_.push_back(std::move(tree));
-    oob_indices_.push_back(std::move(oob));
   }
 
   double err = 0.0;
@@ -192,6 +188,66 @@ double RandomForestRegressor::Predict(const std::vector<double>& x) const {
   double s = 0.0;
   for (const auto& tree : trees_) s += tree.PredictOne(x);
   return s / static_cast<double>(trees_.size());
+}
+
+ForestParams RandomForestRegressor::ExportParams() const {
+  ForestParams params;
+  params.options = options_;
+  params.num_features = static_cast<uint32_t>(num_features_);
+  for (const Tree& tree : trees_) {
+    params.tree_sizes.push_back(static_cast<uint32_t>(tree.nodes.size()));
+    params.nodes.insert(params.nodes.end(), tree.nodes.begin(),
+                        tree.nodes.end());
+  }
+  params.importances = importances_;
+  params.oob_error = oob_error_;
+  return params;
+}
+
+bool RandomForestRegressor::ImportParams(ForestParams params,
+                                         std::string* error) {
+  const auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (params.importances.size() != params.num_features) {
+    return fail("forest importances do not match its feature count");
+  }
+  const int num_features = static_cast<int>(params.num_features);
+  std::vector<Tree> trees;
+  trees.reserve(params.tree_sizes.size());
+  size_t begin = 0;
+  for (uint32_t size : params.tree_sizes) {
+    if (size == 0 || params.nodes.size() - begin < size) {
+      return fail("forest tree sizes do not match its node count");
+    }
+    Tree tree;
+    tree.nodes.assign(params.nodes.begin() + begin,
+                      params.nodes.begin() + begin + size);
+    for (int32_t i = 0; i < static_cast<int32_t>(size); ++i) {
+      const Node& node = tree.nodes[i];
+      if (node.feature < -1 || node.feature >= num_features) {
+        return fail("forest split feature out of range");
+      }
+      if (node.feature >= 0 &&
+          (node.left <= i || node.right <= i ||
+           node.left >= static_cast<int32_t>(size) ||
+           node.right >= static_cast<int32_t>(size))) {
+        return fail("forest child index out of range");
+      }
+    }
+    trees.push_back(std::move(tree));
+    begin += size;
+  }
+  if (begin != params.nodes.size()) {
+    return fail("forest tree sizes do not match its node count");
+  }
+  options_ = params.options;
+  trees_ = std::move(trees);
+  importances_ = std::move(params.importances);
+  oob_error_ = params.oob_error;
+  num_features_ = params.num_features;
+  return true;
 }
 
 double RandomForestRegressor::TuneBagFraction(

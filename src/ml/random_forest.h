@@ -2,6 +2,7 @@
 #define LTEE_ML_RANDOM_FOREST_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/random.h"
@@ -20,6 +21,29 @@ struct RandomForestOptions {
   /// Bootstrap sample size as a fraction of the training set; the
   /// complement is the out-of-bag rate.
   double bag_fraction = 1.0;
+};
+
+/// One tree node. Trees store nodes in build (preorder) order, so a split
+/// node's children always sit after it.
+struct ForestNode {
+  int feature = -1;       // -1 for leaf
+  double threshold = 0.0;
+  double value = 0.0;     // leaf prediction
+  int32_t left = -1;
+  int32_t right = -1;
+};
+
+/// Everything a trained forest holds, flattened for a model file: the
+/// nodes of all trees back to back, `tree_sizes` saying where each tree
+/// ends.
+struct ForestParams {
+  /// The tuned options (TuneBagFraction's chosen bag fraction included).
+  RandomForestOptions options;
+  uint32_t num_features = 0;
+  std::vector<uint32_t> tree_sizes;
+  std::vector<ForestNode> nodes;
+  std::vector<double> importances;
+  double oob_error = 0.0;
 };
 
 /// Random forest regression (Breiman 2001) from scratch: CART variance-
@@ -57,14 +81,16 @@ class RandomForestRegressor {
   bool trained() const { return !trees_.empty(); }
   const RandomForestOptions& options() const { return options_; }
 
+  ForestParams ExportParams() const;
+
+  /// Replaces this forest with `params`. Rejects (false + `error`, forest
+  /// unchanged) a split feature outside [0, num_features), a child index
+  /// not after its parent or past its tree — a back edge would loop
+  /// forever in prediction — and importances not one per feature.
+  bool ImportParams(ForestParams params, std::string* error);
+
  private:
-  struct Node {
-    int feature = -1;       // -1 for leaf
-    double threshold = 0.0;
-    double value = 0.0;     // leaf prediction
-    int32_t left = -1;
-    int32_t right = -1;
-  };
+  using Node = ForestNode;
   struct Tree {
     std::vector<Node> nodes;
     double PredictOne(const std::vector<double>& x) const;
@@ -76,7 +102,6 @@ class RandomForestRegressor {
 
   RandomForestOptions options_;
   std::vector<Tree> trees_;
-  std::vector<std::vector<int>> oob_indices_;  // per tree
   std::vector<double> importances_;
   double oob_error_ = 0.0;
   size_t num_features_ = 0;

@@ -90,8 +90,14 @@ class NewDetector {
     return aggregator_.MetricImportances();
   }
   const ml::ScoreAggregator& aggregator() const { return aggregator_; }
+  ml::ScoreAggregator* mutable_aggregator() { return &aggregator_; }
   double new_threshold() const { return new_threshold_; }
   double match_threshold() const { return match_threshold_; }
+  /// Installs thresholds learned elsewhere (a loaded model).
+  void set_thresholds(double new_threshold, double match_threshold) {
+    new_threshold_ = new_threshold;
+    match_threshold_ = match_threshold;
+  }
 
  private:
   struct ScoredCandidate {

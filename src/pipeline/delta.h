@@ -17,9 +17,11 @@ namespace ltee::pipeline {
 /// Everything a later delta ingest needs to continue a finished run
 /// without recomputing unaffected classes: the run configuration
 /// fingerprint (training seed, dedup, min-facts — a delta run must
-/// reproduce them exactly), the last published snapshot version, the run
-/// class order, per-iteration mappings and per-class feedback, and the
-/// typed changeset the run staged against the immutable base KB.
+/// reproduce them exactly; the trained pipeline itself travels in a
+/// separate model file, see pipeline/model_io), the last published
+/// snapshot version, the run class order, per-iteration mappings and
+/// per-class feedback, and the typed changeset the run staged against
+/// the immutable base KB.
 struct DeltaState {
   uint64_t seed = 7;
   bool dedup = false;

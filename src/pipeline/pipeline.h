@@ -101,6 +101,12 @@ class LteePipeline {
   matching::SchemaMatcher& schema_matcher_refined() {
     return *schema_refined_;
   }
+  const matching::SchemaMatcher& schema_matcher_first() const {
+    return *schema_first_;
+  }
+  const matching::SchemaMatcher& schema_matcher_refined() const {
+    return *schema_refined_;
+  }
 
   /// Per-class components; created on first access with the configured
   /// options.

@@ -1,83 +1,20 @@
 #include "serve/snapshot_io.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "kb/serialization.h"
+#include "util/binary_codec.h"
 
 namespace ltee::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'L', 'T', 'E', 'E', 'S', 'N', 'P', '1'};
+constexpr std::string_view kMagic("LTEESNP1", 8);
 constexpr uint32_t kFormatVersion = 1;
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// -- little-endian primitive encoding -----------------------------------
-
-template <typename T>
-void PutPod(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked reader over the payload bytes.
-class Reader {
- public:
-  Reader(const std::string& bytes, std::string* error)
-      : bytes_(bytes), error_(error) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    if (!Take(sizeof(T))) return v;
-    std::memcpy(&v, bytes_.data() + pos_ - sizeof(T), sizeof(T));
-    return v;
-  }
-
-  std::string String() {
-    const uint32_t n = Pod<uint32_t>();
-    if (!ok_ || !Take(n)) return {};
-    return bytes_.substr(pos_ - n, n);
-  }
-
- private:
-  bool Take(size_t n) {
-    if (!ok_) return false;
-    if (bytes_.size() - pos_ < n) {
-      ok_ = false;
-      if (error_ != nullptr) *error_ = "truncated snapshot payload";
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  const std::string& bytes_;
-  std::string* error_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+using util::PutPod;
+using util::PutString;
 
 std::string EncodePayload(const kb::KnowledgeBase& kb) {
   std::string out;
@@ -121,7 +58,7 @@ std::string EncodePayload(const kb::KnowledgeBase& kb) {
 
 bool DecodePayload(const std::string& payload, kb::KnowledgeBase* kb,
                    std::string* error) {
-  Reader r(payload, error);
+  util::ByteReader r(payload, error);
   const uint32_t num_classes = r.Pod<uint32_t>();
   for (uint32_t c = 0; r.ok() && c < num_classes; ++c) {
     std::string name = r.String();
@@ -213,93 +150,24 @@ bool DecodePayload(const std::string& payload, kb::KnowledgeBase* kb,
 
 bool SaveSnapshotFile(const kb::KnowledgeBase& kb, uint64_t version,
                       const std::string& path, std::string* error) {
-  const std::string payload = EncodePayload(kb);
-  std::string bytes;
-  bytes.append(kMagic, sizeof(kMagic));
-  PutPod<uint32_t>(&bytes, kFormatVersion);
-  PutPod<uint64_t>(&bytes, version);
-  PutPod<uint64_t>(&bytes, Fnv1a(payload));
-  PutPod<uint64_t>(&bytes, static_cast<uint64_t>(payload.size()));
-  bytes.append(payload);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      if (error != nullptr) *error = "cannot write " + tmp;
-      return false;
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp;
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "cannot rename " + tmp + " -> " + path;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return util::WriteFileAtomic(
+      path,
+      util::SealFrame(kMagic, kFormatVersion, {version}, EncodePayload(kb)),
+      error);
 }
 
 bool LoadSnapshotFile(const std::string& path, kb::KnowledgeBase* kb,
                       uint64_t* version, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot read " + path;
+  std::string bytes, payload, frame_error;
+  if (!util::ReadFileBytes(path, &bytes, error)) return false;
+  uint64_t stored_version = 0;
+  if (!util::OpenFrame(bytes, kMagic, kFormatVersion, "snapshot",
+                       {&stored_version, 1}, &payload, &frame_error) ||
+      !DecodePayload(payload, kb, &frame_error)) {
+    if (error != nullptr) *error = path + ": " + frame_error;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-
-  constexpr size_t kHeaderSize =
-      sizeof(kMagic) + sizeof(uint32_t) + 3 * sizeof(uint64_t);
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    if (error != nullptr) *error = path + ": not a snapshot file (bad magic)";
-    return false;
-  }
-  size_t pos = sizeof(kMagic);
-  const auto read_pod = [&bytes, &pos](auto* v) {
-    std::memcpy(v, bytes.data() + pos, sizeof(*v));
-    pos += sizeof(*v);
-  };
-  uint32_t format = 0;
-  uint64_t snapshot_version = 0, checksum = 0, payload_size = 0;
-  read_pod(&format);
-  read_pod(&snapshot_version);
-  read_pod(&checksum);
-  read_pod(&payload_size);
-  if (format != kFormatVersion) {
-    if (error != nullptr) {
-      *error = path + ": unsupported snapshot format version " +
-               std::to_string(format);
-    }
-    return false;
-  }
-  if (bytes.size() - pos != payload_size) {
-    if (error != nullptr) {
-      *error = path + ": payload size mismatch (header says " +
-               std::to_string(payload_size) + ", file has " +
-               std::to_string(bytes.size() - pos) + ")";
-    }
-    return false;
-  }
-  const std::string payload = bytes.substr(pos);
-  if (Fnv1a(payload) != checksum) {
-    if (error != nullptr) *error = path + ": checksum mismatch";
-    return false;
-  }
-  std::string decode_error;
-  if (!DecodePayload(payload, kb, &decode_error)) {
-    if (error != nullptr) *error = path + ": " + decode_error;
-    return false;
-  }
-  if (version != nullptr) *version = snapshot_version;
+  if (version != nullptr) *version = stored_version;
   return true;
 }
 

@@ -9,22 +9,32 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kb/applier.h"
 #include "kb/diff.h"
 #include "kb/serialization.h"
 #include "pipeline/delta.h"
+#include "pipeline/gold_artifacts.h"
+#include "pipeline/model_io.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/run_summary.h"
 #include "pipeline/stage_context.h"
 #include "pipeline/training.h"
+#include "prov/ledger.h"
+#include "rowcluster/row_metrics.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "test_dataset.h"
+#include "util/binary_codec.h"
 #include "util/random.h"
 #include "util/token_dictionary.h"
 #include "webtable/prepared_corpus.h"
@@ -116,8 +126,7 @@ const DeltaHarness& Harness() {
 
     PipelineOptions options;
     h->pipe = std::make_unique<LteePipeline>(ds.kb, options);
-    util::Rng rng(41);
-    TrainPipelineOnGold(h->pipe.get(), ds.gs_corpus, ds.gold, rng);
+    testing::LoadOrTrainSharedModel(ds, h->pipe.get());
     for (const auto& gs : ds.gold) h->classes.push_back(gs.cls);
 
     // Full path: one run over A+B, staged and applied.
@@ -641,6 +650,349 @@ TEST(ChangeSetIo, RejectsMalformedRecords) {
     std::stringstream in(bad);
     EXPECT_FALSE(kb::LoadChangeSet(in).has_value()) << bad;
   }
+}
+
+// ---------------------------------------------------------------------
+// The LTEEMDL1 trained-model file.
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Provenance ledger of a full run of `pipe` over the GS corpus.
+std::string LedgerOfRun(const LteePipeline& pipe,
+                        const std::vector<kb::ClassId>& classes,
+                        PipelineRunResult* run) {
+  prov::SetEnabled(true);
+  prov::Clear();
+  *run = pipe.Run(SharedDataset().gs_corpus, classes);
+  std::string ledger = prov::ExportJsonLines();
+  prov::SetEnabled(false);
+  prov::Clear();
+  return ledger;
+}
+
+// A pipeline loaded from the file of a trained one is the trained one:
+// same golden summary, ledger and snapshot hash, and every learned
+// number equal — not merely close.
+TEST(ModelFile, LoadedPipelineIsBitIdenticalToTrainedPipeline) {
+  const auto& ds = SharedDataset();
+  const std::vector<kb::ClassId> classes = testing::GoldClasses(ds);
+  LteePipeline trained(ds.kb, PipelineOptions());
+  util::Rng rng(41);
+  TrainPipelineOnGold(&trained, ds.gs_corpus, ds.gold, rng);
+
+  const std::string path = ::testing::TempDir() + "/model_equivalence.bin";
+  std::string error;
+  ASSERT_TRUE(SavePipelineModel(trained, classes, path, &error)) << error;
+  const std::string saved = ReadBytes(path);
+  EXPECT_EQ(saved, EncodePipelineModel(ExportPipelineModel(trained, classes)))
+      << "two saves of one pipeline differ";
+  LteePipeline loaded(ds.kb, PipelineOptions());
+  ASSERT_TRUE(LoadPipelineModel(path, classes, &loaded, &error)) << error;
+  EXPECT_EQ(EncodePipelineModel(ExportPipelineModel(loaded, classes)), saved)
+      << "the loaded pipeline saves different bytes";
+
+  // Learned numbers, scored on the training features of every class.
+  const webtable::PreparedCorpus& prepared = trained.Prepared(ds.gs_corpus);
+  matching::SchemaMapping gold_mapping;
+  gold_mapping.tables.resize(ds.gs_corpus.size());
+  for (const auto& gs : ds.gold) {
+    MergeGoldMappings(GoldSchemaMapping(ds.gs_corpus, gs, ds.kb),
+                      &gold_mapping);
+  }
+  for (const auto& gs : ds.gold) {
+    SCOPED_TRACE(ds.kb.cls(gs.cls).name);
+    const auto& tc = trained.clusterer_for(gs.cls);
+    const auto& lc = loaded.clusterer_for(gs.cls);
+    EXPECT_EQ(tc.score_offset(), lc.score_offset());
+    EXPECT_EQ(tc.MetricImportances(), lc.MetricImportances());
+    const auto& td = trained.detector_for(gs.cls);
+    const auto& ld = loaded.detector_for(gs.cls);
+    EXPECT_EQ(td.new_threshold(), ld.new_threshold());
+    EXPECT_EQ(td.match_threshold(), ld.match_threshold());
+    EXPECT_EQ(td.MetricImportances(), ld.MetricImportances());
+
+    const auto rows = rowcluster::BuildClassRowSet(
+        prepared, gold_mapping, gs.cls, ds.kb, trained.kb_index(),
+        trained.options().row_features);
+    const rowcluster::RowMetricBank bank(
+        rows, trained.options().clustering.enabled_metrics);
+    const int n = std::min<int>(60, static_cast<int>(rows.rows.size()));
+    size_t compared = 0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        const ml::ScoredFeatures f = bank.Compare(i, j);
+        ASSERT_EQ(tc.aggregator().Score(f), lc.aggregator().Score(f));
+        ++compared;
+      }
+    }
+    std::vector<int> assignment(rows.rows.size(), -1);
+    for (size_t i = 0; i < rows.rows.size(); ++i) {
+      assignment[i] = gs.ClusterOfRow(rows.rows[i].ref);
+    }
+    const auto entities = trained.MakeEntityCreator().Create(
+        rows, assignment, gold_mapping, prepared);
+    for (const auto& entity : entities) {
+      if (entity.rows.empty()) continue;
+      for (kb::InstanceId id : td.Candidates(entity)) {
+        const ml::ScoredFeatures f = td.Compare(entity, id, 1.0);
+        ASSERT_EQ(td.aggregator().Score(f), ld.aggregator().Score(f));
+        ++compared;
+      }
+    }
+    EXPECT_GT(compared, 1000u);
+  }
+
+  // Runs: golden summary, ledger and snapshot content hash.
+  PipelineRunResult trained_run, loaded_run;
+  const std::string trained_ledger =
+      LedgerOfRun(trained, classes, &trained_run);
+  const std::string loaded_ledger = LedgerOfRun(loaded, classes, &loaded_run);
+  ASSERT_FALSE(loaded_ledger.empty());
+  EXPECT_TRUE(loaded_ledger == trained_ledger) << "ledgers differ";
+  std::ifstream golden(std::string(LTEE_GOLDEN_DIR) + "/pipeline_summary.txt",
+                       std::ios::binary);
+  std::stringstream golden_bytes;
+  golden_bytes << golden.rdbuf();
+  EXPECT_TRUE(SummarizeRun(loaded_run) == golden_bytes.str())
+      << "loaded-model run diverges from the golden summary";
+  kb::KnowledgeBase kb_trained = CloneKb(ds.kb);
+  kb::ApplyChangeSet(&kb_trained, StageRun(ds.kb, trained_run));
+  kb::KnowledgeBase kb_loaded = CloneKb(ds.kb);
+  kb::ApplyChangeSet(&kb_loaded, StageRun(ds.kb, loaded_run));
+  EXPECT_EQ(ContentHash(kb_trained, 1), ContentHash(kb_loaded, 1));
+  std::remove(path.c_str());
+}
+
+/// A small hand-made aggregator over `num_metrics` metrics: a two-tree
+/// forest (one split, one leaf-only tree).
+ml::AggregatorParams SmallAggregator(uint32_t num_metrics) {
+  ml::AggregatorParams p;
+  p.kind = ml::AggregationKind::kCombined;
+  p.num_metrics = num_metrics;
+  p.wa_weights.assign(num_metrics, 0.5);
+  p.wa_threshold = 0.4;
+  p.blend_wa = 0.3;
+  p.forest.options.num_trees = 2;
+  p.forest.num_features = 2 * num_metrics;
+  p.forest.tree_sizes = {3, 1};
+  p.forest.nodes = {{0, 0.5, 0.0, 1, 2},
+                    {-1, 0.0, -0.8, -1, -1},
+                    {-1, 0.0, 0.9, -1, -1},
+                    {-1, 0.0, 0.1, -1, -1}};
+  p.forest.importances.assign(2 * num_metrics, 0.0);
+  p.forest.importances[0] = 1.0;
+  p.forest.oob_error = 0.25;
+  return p;
+}
+
+PipelineModel SmallModel(kb::ClassId cls) {
+  PipelineModel model;
+  model.schema_first.weights = {{cls, {1.0, 0.5, 0.25, 0.125, 1.0}}};
+  model.schema_first.thresholds = {{0, 0.4}, {1, 0.6}};
+  model.schema_refined = model.schema_first;
+  PipelineModel::ClassModel cm;
+  cm.cls = cls;
+  cm.clusterer = SmallAggregator(rowcluster::kNumRowMetrics);
+  cm.score_offset = 0.1;
+  cm.detector = SmallAggregator(newdetect::kNumEntityMetrics);
+  cm.new_threshold = -0.2;
+  cm.match_threshold = 0.3;
+  model.classes.push_back(std::move(cm));
+  return model;
+}
+
+// Hostile model files: every mangling returns false with an error — no
+// crash, no hang (a forest back edge would loop forever in prediction),
+// and the pipeline is left untouched.
+TEST(ModelFile, HostileBytesAreRejectedCleanly) {
+  const auto& ds = SharedDataset();
+  const kb::ClassId cls = ds.gold.front().cls;
+  const std::vector<kb::ClassId> classes = {cls};
+  const std::string bytes = EncodePipelineModel(SmallModel(cls));
+  const std::string path = ::testing::TempDir() + "/model_hostile.bin";
+  const auto try_load = [&](const std::string& content,
+                            const std::vector<kb::ClassId>& expected) {
+    WriteBytes(path, content);
+    LteePipeline pipe(ds.kb, PipelineOptions());
+    std::string error;
+    const bool ok = LoadPipelineModel(path, expected, &pipe, &error);
+    if (!ok) {
+      EXPECT_FALSE(error.empty());
+      EXPECT_TRUE(pipe.schema_matcher_first().ExportParams().weights.empty())
+          << "a rejected model changed the pipeline";
+    }
+    return std::make_pair(ok, error);
+  };
+  const auto expect_rejected = [&](const std::string& content,
+                                   const std::string& needle,
+                                   const std::vector<kb::ClassId>& expected) {
+    const auto [ok, error] = try_load(content, expected);
+    EXPECT_FALSE(ok) << "accepted; expected \"" << needle << "\"";
+    EXPECT_NE(error.find(needle), std::string::npos)
+        << "expected \"" << needle << "\" in: " << error;
+  };
+  const auto model_bytes = [](const PipelineModel& model) {
+    return EncodePipelineModel(model);
+  };
+  {
+    const auto [ok, error] = try_load(bytes, classes);
+    ASSERT_TRUE(ok) << error;
+  }
+
+  // Header: magic[0..7], format u32 @8, checksum u64 @12, size u64 @20,
+  // payload @28.
+  constexpr size_t kHeader = 28;
+  const std::string payload = bytes.substr(kHeader);
+  const auto reseal = [&bytes](const std::string& p) {
+    std::string out = bytes.substr(0, kHeader);
+    const uint64_t checksum = util::Fnv1a(p);
+    const uint64_t size = p.size();
+    std::memcpy(out.data() + 12, &checksum, sizeof(checksum));
+    std::memcpy(out.data() + 20, &size, sizeof(size));
+    return out + p;
+  };
+  PipelineModel decoded;
+  std::string error;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    error.clear();
+    EXPECT_FALSE(DecodePipelineModel(bytes.substr(0, cut), &decoded, &error))
+        << "accepted a file truncated to " << cut << " bytes";
+    EXPECT_FALSE(error.empty()) << cut;
+  }
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    error.clear();
+    EXPECT_FALSE(
+        DecodePipelineModel(reseal(payload.substr(0, cut)), &decoded, &error))
+        << "accepted a payload truncated to " << cut << " bytes";
+    EXPECT_NE(error.find("truncated"), std::string::npos) << cut << ": "
+                                                          << error;
+  }
+  expect_rejected(reseal(payload + "x"), "trailing bytes", classes);
+  {
+    std::string mangled = bytes;
+    mangled[3] ^= 0x01;
+    expect_rejected(mangled, "bad magic", classes);
+  }
+  {
+    std::string mangled = bytes;
+    mangled[8] = 0x7f;
+    expect_rejected(mangled, "format version", classes);
+  }
+  {
+    std::string mangled = bytes;
+    mangled[20] ^= 0x01;
+    expect_rejected(mangled, "size mismatch", classes);
+  }
+  expect_rejected(bytes + "xyz", "size mismatch", classes);
+  {
+    std::string mangled = bytes;
+    mangled[13] ^= 0x10;
+    expect_rejected(mangled, "checksum", classes);
+  }
+  {
+    std::string mangled = bytes;
+    mangled[bytes.size() - 3] ^= 0x40;
+    expect_rejected(mangled, "checksum", classes);
+  }
+
+  // Against the state and the KB.
+  expect_rejected(bytes, "class list", {});
+  expect_rejected(bytes, "class list", {cls, cls});
+  expect_rejected(bytes, "class list",
+                  {static_cast<kb::ClassId>(cls + 1)});
+  {
+    PipelineModel model = SmallModel(cls);
+    model.classes[0].cls = static_cast<kb::ClassId>(ds.kb.num_classes());
+    expect_rejected(model_bytes(model), "outside the KB",
+                    {model.classes[0].cls});
+  }
+  {
+    PipelineModel model = SmallModel(cls);
+    model.schema_refined.weights[0].first = -3;
+    expect_rejected(model_bytes(model), "outside the KB", classes);
+  }
+  {
+    PipelineModel model = SmallModel(cls);
+    model.schema_first.thresholds.back().first =
+        static_cast<kb::PropertyId>(ds.kb.num_properties());
+    expect_rejected(model_bytes(model), "outside the KB", classes);
+  }
+  {
+    PipelineModel model = SmallModel(cls);
+    std::swap(model.schema_first.thresholds[0],
+              model.schema_first.thresholds[1]);
+    expect_rejected(model_bytes(model), "not sorted", classes);
+  }
+
+  // Forest structure and aggregator shape.
+  const auto mangle_forest = [&](auto&& mangle, const std::string& needle) {
+    PipelineModel model = SmallModel(cls);
+    mangle(&model.classes[0].clusterer);
+    expect_rejected(model_bytes(model), needle, classes);
+  };
+  mangle_forest([](ml::AggregatorParams* a) { a->forest.nodes[0].left = 0; },
+                "child index");
+  mangle_forest([](ml::AggregatorParams* a) { a->forest.nodes[0].right = -1; },
+                "child index");
+  mangle_forest([](ml::AggregatorParams* a) { a->forest.nodes[0].right = 3; },
+                "child index");
+  mangle_forest(
+      [](ml::AggregatorParams* a) {
+        a->forest.nodes[0].feature = static_cast<int>(a->forest.num_features);
+      },
+      "split feature");
+  mangle_forest(
+      [](ml::AggregatorParams* a) { a->forest.nodes[1].feature = -2; },
+      "split feature");
+  mangle_forest(
+      [](ml::AggregatorParams* a) { a->forest.tree_sizes = {4, 1}; },
+      "tree sizes");
+  mangle_forest(
+      [](ml::AggregatorParams* a) { a->forest.tree_sizes = {3, 0, 1}; },
+      "tree sizes");
+  mangle_forest(
+      [](ml::AggregatorParams* a) { a->forest.importances.pop_back(); },
+      "importances");
+  mangle_forest([](ml::AggregatorParams* a) { a->wa_weights.pop_back(); },
+                "weight count");
+  mangle_forest(
+      [](ml::AggregatorParams* a) {
+        *a = SmallAggregator(rowcluster::kNumRowMetrics + 1);
+      },
+      "metrics, the pipeline enables");
+  mangle_forest(
+      [](ml::AggregatorParams* a) { a->forest.num_features += 2; },
+      "two per metric");
+  mangle_forest(  // no trees, but importances MetricImportances would read
+      [](ml::AggregatorParams* a) {
+        a->forest.tree_sizes.clear();
+        a->forest.nodes.clear();
+        a->forest.num_features = 3;
+        a->forest.importances.assign(3, 0.0);
+      },
+      "two per metric");
+  {
+    std::string p = payload;
+    // The first class's clusterer kind byte: after both matchers (each
+    // u32 + 1 × (i16 + 5 f64), u32 + 2 × (i16 + f64)), the u32 class
+    // count and the i16 class id.
+    const size_t matcher = 4 + (2 + 40) + 4 + 2 * (2 + 8);
+    const size_t kind_at = 2 * matcher + 4 + 2;
+    ASSERT_EQ(p[kind_at], static_cast<char>(ml::AggregationKind::kCombined));
+    p[kind_at] = 9;
+    expect_rejected(reseal(p), "aggregation kind", classes);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

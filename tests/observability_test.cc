@@ -11,7 +11,6 @@
 
 #include "pipeline/pipeline.h"
 #include "pipeline/run_report.h"
-#include "pipeline/training.h"
 #include "test_dataset.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -38,8 +37,7 @@ const TracedRun& SharedTracedRun() {
     auto* s = new TracedRun;
     PipelineOptions options;
     s->pipeline = std::make_unique<LteePipeline>(ds.kb, options);
-    util::Rng rng(41);
-    TrainPipelineOnGold(s->pipeline.get(), ds.gs_corpus, ds.gold, rng);
+    testing::LoadOrTrainSharedModel(ds, s->pipeline.get());
     std::vector<kb::ClassId> classes;
     for (const auto& gs : ds.gold) classes.push_back(gs.cls);
     s->run = s->pipeline->Run(ds.gs_corpus, classes);

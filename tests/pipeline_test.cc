@@ -9,7 +9,6 @@
 #include "pipeline/gold_artifacts.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/run_summary.h"
-#include "pipeline/training.h"
 #include "test_dataset.h"
 
 namespace ltee::pipeline {
@@ -84,8 +83,7 @@ const TrainedRun& SharedRun() {
     auto* s = new TrainedRun;
     PipelineOptions options;
     s->pipeline = std::make_unique<LteePipeline>(ds.kb, options);
-    util::Rng rng(41);
-    TrainPipelineOnGold(s->pipeline.get(), ds.gs_corpus, ds.gold, rng);
+    testing::LoadOrTrainSharedModel(ds, s->pipeline.get());
     std::vector<kb::ClassId> classes;
     for (const auto& gs : ds.gold) classes.push_back(gs.cls);
     s->run = s->pipeline->Run(ds.gs_corpus, classes);

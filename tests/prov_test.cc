@@ -14,19 +14,20 @@
 #include "pipeline/kb_update.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/slot_filling.h"
-#include "pipeline/training.h"
 #include "prov/explain.h"
 #include "prov/ledger.h"
 #include "synth/dataset.h"
+#include "test_dataset.h"
 #include "util/json_parse.h"
 
 namespace ltee {
 namespace {
 
 /// One full fixed-seed provenance run built from scratch — own dataset,
-/// own pipeline trained with Rng(41), ledger enabled only for inference
-/// (the CLI shape — training probes would pollute the decision record),
-/// then the dedup / slot-filling / KB-update post-stages.
+/// own pipeline holding the shared model (trained with Rng(41)), ledger
+/// enabled only for inference (the CLI shape — training probes would
+/// pollute the decision record), then the dedup / slot-filling /
+/// KB-update post-stages.
 std::string BuildLedger() {
   synth::DatasetOptions dataset_options;
   dataset_options.scale = 0.002;
@@ -35,8 +36,7 @@ std::string BuildLedger() {
 
   pipeline::PipelineOptions options;
   pipeline::LteePipeline pipe(ds.kb, options);
-  util::Rng rng(41);
-  pipeline::TrainPipelineOnGold(&pipe, ds.gs_corpus, ds.gold, rng);
+  testing::LoadOrTrainSharedModel(ds, &pipe);
 
   prov::SetEnabled(true);
   prov::Clear();
@@ -60,9 +60,9 @@ std::string BuildLedger() {
   return ledger;
 }
 
-/// Two independent runs, built once per binary. Training and the class
-/// sweep are multi-threaded, so equality of the pair is the determinism
-/// property the --provenance-out golden contract relies on.
+/// Two independent runs, built once per binary. The class sweep is
+/// multi-threaded, so equality of the pair is the determinism property
+/// the --provenance-out golden contract relies on.
 const std::pair<std::string, std::string>& Ledgers() {
   static const auto* ledgers =
       new std::pair<std::string, std::string>(BuildLedger(), BuildLedger());

@@ -41,6 +41,14 @@ struct DateCase {
   DateGranularity granularity;
 };
 
+// gtest_discover_tests appends the printed parameter to the ctest name.
+// gtest's default print of a struct is a byte dump that includes pointer
+// values and padding, which changes from build to build, so print the
+// surface form instead.
+void PrintTo(const DateCase& c, std::ostream* os) {
+  *os << '"' << c.input << '"';
+}
+
 class DateParseTest : public ::testing::TestWithParam<DateCase> {};
 
 TEST_P(DateParseTest, ParsesSurfaceForm) {
@@ -181,6 +189,12 @@ struct EqualityCase {
   Value a, b;
   bool equal;
 };
+
+// Keeps the ctest name stable across builds (see PrintTo(DateCase)).
+void PrintTo(const EqualityCase& c, std::ostream* os) {
+  *os << DataTypeName(c.a.type) << ' ' << c.a.ToString() << " vs "
+      << c.b.ToString();
+}
 
 class ValuesEqualTest : public ::testing::TestWithParam<EqualityCase> {};
 

@@ -17,19 +17,27 @@
 //              mistaken for the commit it names
 // --benches    comma-separated bench names without the bench_ prefix
 //              (default: a fast representative set; see kQuickSet)
-// --quick      small synthetic scale (LTEE_SCALE=0.002) + the quick set —
-//              cheap enough for a CI gate
+// --quick      small synthetic scale (LTEE_SCALE=0.002) + the quick set,
+//              run kQuickPasses times — cheap enough for a CI gate
 // --scale      explicit LTEE_SCALE for the child processes
 // --label      free-form label recorded in the entry (e.g. "quick")
 //
+// Each recorded value is the metric's median over the passes of the whole
+// bench list (one pass without --quick). A wall time from one pass on a
+// shared host can double under a neighbour's load spike; the median keeps
+// one spike from reaching the gate, while a real slowdown shows in every
+// pass and so in the median.
+//
 // Entry schema (one line):
 //   {"commit":"<sha>","dirty":<bool>,"unix_time":<s>,"label":"..",
-//    "results":[
+//    "passes":<N>,"results":[
 //     {"bench":"..","metric":"..","value":..,"unit":"..",("iters":..)},..]}
+// `iters` is the first pass's.
 //
 // Exit: 0 when every bench ran and produced at least one result line,
 // 1 otherwise.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +82,9 @@ const char* const kQuickSet[] = {"table03_corpus_stats",
                                  "serve_load",
                                  "delta_ingest",
                                  "micro_perf --benchmark_filter=NONE"};
+
+/// Passes of the bench list with --quick.
+constexpr int kQuickPasses = 3;
 
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> out;
@@ -122,9 +133,19 @@ bool DetectDirty() {
   return out.find_first_not_of(" \t\r\n") != std::string::npos;
 }
 
-/// Re-serializes one parsed result line canonically so the history file
-/// never inherits formatting quirks from a bench binary.
-bool AppendResult(const JsonValue& line, std::string* out) {
+/// One metric's values across the passes.
+struct MetricSamples {
+  std::string bench;
+  std::string metric;
+  std::string unit;
+  std::vector<double> values;
+  long long iters = -1;  // first pass's; -1 when the bench reported none
+};
+
+/// Adds one parsed result line to `samples` (first-seen order, looked up
+/// through `index` by bench + metric). False when a field is missing.
+bool CollectResult(const JsonValue& line, std::vector<MetricSamples>* samples,
+                   std::map<std::string, size_t>* index) {
   const JsonValue* bench = line.Find("bench");
   const JsonValue* metric = line.Find("metric");
   const JsonValue* value = line.Find("value");
@@ -132,22 +153,47 @@ bool AppendResult(const JsonValue& line, std::string* out) {
       !metric->is_string() || value == nullptr || !value->is_number()) {
     return false;
   }
+  const std::string key = bench->as_string() + '\0' + metric->as_string();
+  auto [it, inserted] = index->emplace(key, samples->size());
+  if (inserted) {
+    MetricSamples fresh;
+    fresh.bench = bench->as_string();
+    fresh.metric = metric->as_string();
+    fresh.unit = line.StringOr("unit", "unknown");
+    if (const JsonValue* iters = line.Find("iters");
+        iters != nullptr && iters->is_number()) {
+      fresh.iters = static_cast<long long>(iters->as_number());
+    }
+    samples->push_back(std::move(fresh));
+  }
+  (*samples)[it->second].values.push_back(value->as_number());
+  return true;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// Serializes one metric canonically, its value the median over the
+/// passes, so the history file never inherits formatting quirks from a
+/// bench binary.
+void AppendResult(const MetricSamples& samples, std::string* out) {
   out->append("{\"bench\":");
-  out->append(ltee::util::JsonQuote(bench->as_string()));
+  out->append(ltee::util::JsonQuote(samples.bench));
   out->append(",\"metric\":");
-  out->append(ltee::util::JsonQuote(metric->as_string()));
+  out->append(ltee::util::JsonQuote(samples.metric));
   out->append(",\"value\":");
-  ltee::util::AppendJsonNumber(out, value->as_number());
+  ltee::util::AppendJsonNumber(out, Median(samples.values));
   out->append(",\"unit\":");
-  out->append(ltee::util::JsonQuote(line.StringOr("unit", "unknown")));
-  if (const JsonValue* iters = line.Find("iters");
-      iters != nullptr && iters->is_number()) {
+  out->append(ltee::util::JsonQuote(samples.unit));
+  if (samples.iters >= 0) {
     out->append(",\"iters\":");
-    out->append(
-        std::to_string(static_cast<long long>(iters->as_number())));
+    out->append(std::to_string(samples.iters));
   }
   out->push_back('}');
-  return true;
 }
 
 }  // namespace
@@ -179,56 +225,64 @@ int main(int argc, char** argv) {
     scale = "0.002";
   }
 
-  std::string results;
-  size_t num_results = 0;
+  const int passes = quick ? kQuickPasses : 1;
+  std::vector<MetricSamples> samples;
+  std::map<std::string, size_t> index;
   bool ok = true;
-  for (const std::string& bench : benches) {
-    std::string command;
-    if (!scale.empty()) command += "LTEE_SCALE=" + scale + " ";
-    command += bench_dir + "/bench_" + bench + " 2>/dev/null";
-    std::fprintf(stderr, "bench_history: running %s\n", command.c_str());
-    std::string output;
-    if (!RunAndCapture(command, &output)) {
-      std::fprintf(stderr, "bench_history: FAILED: %s\n", command.c_str());
-      ok = false;
-      continue;
-    }
-    size_t parsed_here = 0;
-    size_t start = 0;
-    while (start < output.size()) {
-      size_t end = output.find('\n', start);
-      if (end == std::string::npos) end = output.size();
-      const std::string line = output.substr(start, end - start);
-      start = end + 1;
-      if (line.rfind("{\"bench\"", 0) != 0) continue;
-      JsonValue parsed;
-      std::string error;
-      if (!ltee::util::ParseJson(line, &parsed, &error)) {
-        std::fprintf(stderr, "bench_history: bad result line (%s): %s\n",
-                     error.c_str(), line.c_str());
+  for (int pass = 1; pass <= passes; ++pass) {
+    for (const std::string& bench : benches) {
+      std::string command;
+      if (!scale.empty()) command += "LTEE_SCALE=" + scale + " ";
+      command += bench_dir + "/bench_" + bench + " 2>/dev/null";
+      std::fprintf(stderr, "bench_history: pass %d/%d running %s\n", pass,
+                   passes, command.c_str());
+      std::string output;
+      if (!RunAndCapture(command, &output)) {
+        std::fprintf(stderr, "bench_history: FAILED: %s\n", command.c_str());
         ok = false;
         continue;
       }
-      if (num_results > 0) results.push_back(',');
-      if (AppendResult(parsed, &results)) {
-        ++num_results;
-        ++parsed_here;
-      } else {
-        std::fprintf(stderr, "bench_history: incomplete result line: %s\n",
-                     line.c_str());
+      size_t parsed_here = 0;
+      size_t start = 0;
+      while (start < output.size()) {
+        size_t end = output.find('\n', start);
+        if (end == std::string::npos) end = output.size();
+        const std::string line = output.substr(start, end - start);
+        start = end + 1;
+        if (line.rfind("{\"bench\"", 0) != 0) continue;
+        JsonValue parsed;
+        std::string error;
+        if (!ltee::util::ParseJson(line, &parsed, &error)) {
+          std::fprintf(stderr, "bench_history: bad result line (%s): %s\n",
+                       error.c_str(), line.c_str());
+          ok = false;
+          continue;
+        }
+        if (CollectResult(parsed, &samples, &index)) {
+          ++parsed_here;
+        } else {
+          std::fprintf(stderr,
+                       "bench_history: incomplete result line: %s\n",
+                       line.c_str());
+          ok = false;
+        }
+      }
+      if (parsed_here == 0) {
+        std::fprintf(stderr, "bench_history: no result lines from %s\n",
+                     bench.c_str());
         ok = false;
       }
     }
-    if (parsed_here == 0) {
-      std::fprintf(stderr, "bench_history: no result lines from %s\n",
-                   bench.c_str());
-      ok = false;
-    }
   }
 
-  if (num_results == 0) {
+  if (samples.empty()) {
     std::fprintf(stderr, "bench_history: nothing to record\n");
     return 1;
+  }
+  std::string results;
+  for (const MetricSamples& metric : samples) {
+    if (!results.empty()) results.push_back(',');
+    AppendResult(metric, &results);
   }
 
   std::string entry = "{\"commit\":";
@@ -241,6 +295,8 @@ int main(int argc, char** argv) {
     entry += ",\"label\":";
     entry += ltee::util::JsonQuote(label);
   }
+  entry += ",\"passes\":";
+  entry += std::to_string(passes);
   entry += ",\"results\":[";
   entry += results;
   entry += "]}";
@@ -253,8 +309,9 @@ int main(int argc, char** argv) {
   }
   out << entry << "\n";
   std::printf(
-      "bench_history: appended %zu results for commit %s%s to %s\n",
-      num_results, commit.c_str(), dirty ? " (dirty work tree)" : "",
-      out_path.c_str());
+      "bench_history: appended %zu results (median of %d) for commit %s%s "
+      "to %s\n",
+      samples.size(), passes, commit.c_str(),
+      dirty ? " (dirty work tree)" : "", out_path.c_str());
   return ok ? 0 : 1;
 }

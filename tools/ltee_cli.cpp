@@ -64,6 +64,7 @@
 #include "pipeline/dedup.h"
 #include "pipeline/delta.h"
 #include "pipeline/kb_update.h"
+#include "pipeline/model_io.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/slot_filling.h"
 #include "pipeline/training.h"
@@ -74,6 +75,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_io.h"
 #include "synth/dataset.h"
+#include "util/binary_codec.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -111,6 +113,25 @@ std::string FirstPositional(int argc, char** argv, int first) {
     return argv[i];
   }
   return "";
+}
+
+/// Closes an output file through util::CloseOutputFile, the check every
+/// CLI output and binary file shares, so a full disk or an unwritable
+/// target (/dev/full) fails the command instead of passing silently.
+bool CloseOutput(std::ofstream& out, const std::string& path) {
+  std::string error;
+  if (util::CloseOutputFile(&out, path, &error)) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
+}
+
+/// Writes one output file through `saver(std::ostream&)`, checked by
+/// CloseOutput.
+template <typename Saver>
+bool WriteOutput(const std::string& path, Saver&& saver) {
+  std::ofstream out(path);
+  if (out) saver(out);
+  return CloseOutput(out, path);
 }
 
 int Usage() {
@@ -153,7 +174,8 @@ int Usage() {
                "run --publish-snapshot FILE writes the enriched KB as a "
                "binary serving snapshot at end of run "
                "(--snapshot-version stamps it); run --state-out DIR "
-               "persists the delta-resumable state; ingest appends the "
+               "persists the delta-resumable state and the trained model; "
+               "ingest loads that model (no retraining), appends the "
                "delta tables, reruns only affected classes, and publishes "
                "the next snapshot version; serve answers /kb/entity "
                "/kb/search /kb/classes /kb/snapshot (plus /metrics /stats "
@@ -202,12 +224,7 @@ int Generate(const std::map<std::string, std::string>& flags) {
 
   auto write = [&dir](const std::string& name, auto&& saver) {
     const std::string path = dir + "/" + name;
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    saver(out);
+    if (!WriteOutput(path, saver)) return false;
     std::printf("wrote %s\n", path.c_str());
     return true;
   };
@@ -486,6 +503,7 @@ int Run(const std::map<std::string, std::string>& flags) {
     applier.Stage(std::move(staged.change));
   }
   kb::ChangeSet changes = applier.TakeStaged();
+  if (export_nt && !CloseOutput(ntriples, flags.at("ntriples"))) return 1;
 
   // --state-out: persist everything a later `ltee_cli ingest` needs to
   // continue this run incrementally. The base KB must be written before
@@ -498,14 +516,7 @@ int Run(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     auto write = [&state_dir](const std::string& name, auto&& saver) {
-      const std::string path = state_dir + "/" + name;
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-      }
-      saver(out);
-      return true;
+      return WriteOutput(state_dir + "/" + name, saver);
     };
     bool ok = true;
     ok &= write("base_kb.tsv",
@@ -519,6 +530,14 @@ int Run(const std::map<std::string, std::string>& flags) {
       eval::SaveGoldStandards(*gold, out);
     });
     if (!ok) return 1;
+    // The trained model: ingest loads it instead of retraining.
+    util::trace::ScopedSpan span("pipeline.model_save");
+    const std::string path = state_dir + "/model.bin";
+    std::string error;
+    if (!pipeline::SavePipelineModel(pipe, classes, path, &error)) {
+      std::fprintf(stderr, "cannot write model: %s\n", error.c_str());
+      return 1;
+    }
   }
 
   const kb::ApplyOutcome outcome = kb::ApplyChangeSet(kb, changes);
@@ -569,13 +588,11 @@ int Run(const std::map<std::string, std::string>& flags) {
     state.mappings = run.mappings;
     state.feedback = run.feedback;
     state.changes = std::move(changes);
-    const std::string path = state_dir + "/state.tsv";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(state_dir + "/state.tsv", [&](std::ostream& out) {
+          pipeline::SaveDeltaState(state, out);
+        })) {
       return 1;
     }
-    pipeline::SaveDeltaState(state, out);
     std::printf("delta state written to %s\n", state_dir.c_str());
   }
 
@@ -586,12 +603,9 @@ int Run(const std::map<std::string, std::string>& flags) {
     prov::RefreshQualityGauges();
     ledger = prov::ExportJsonLines();
     const std::string& path = flags.at("provenance-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(path, [&](std::ostream& out) { out << ledger; })) {
       return 1;
     }
-    out << ledger;
     std::printf("provenance ledger written to %s (%zu events)\n",
                 path.c_str(), prov::EventCount());
   }
@@ -604,33 +618,30 @@ int Run(const std::map<std::string, std::string>& flags) {
     if (want_prov) status_server.PublishProvenance(ledger);
   }
   if (auto it = flags.find("metrics-out"); it != flags.end()) {
-    std::ofstream out(it->second);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", it->second.c_str());
+    if (!WriteOutput(it->second, [&](std::ostream& out) {
+          out << pipeline::RunReportToJson(run.report) << "\n";
+        })) {
       return 1;
     }
-    out << pipeline::RunReportToJson(run.report) << "\n";
     std::printf("metrics written to %s\n", it->second.c_str());
   }
   if (want_trace) {
     const std::string& path = flags.at("trace-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(path, [](std::ostream& out) {
+          util::trace::ExportChromeTrace(out);
+        })) {
       return 1;
     }
-    util::trace::ExportChromeTrace(out);
     std::printf("trace written to %s (open in ui.perfetto.dev)\n",
                 path.c_str());
   }
   if (want_profile) {
     const std::string& path = flags.at("profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(path, [](std::ostream& out) {
+          out << obsv::CollectCollapsedProfile();
+        })) {
       return 1;
     }
-    out << obsv::CollectCollapsedProfile();
     const obsv::ProfileStats stats = obsv::CurrentProfileStats();
     std::printf(
         "profile written to %s (%llu samples @ %d Hz, %llu dropped; "
@@ -641,12 +652,11 @@ int Run(const std::map<std::string, std::string>& flags) {
   }
   if (want_heap) {
     const std::string& path = flags.at("heap-profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(path, [](std::ostream& out) {
+          out << obsv::CollectCollapsedHeapProfile();
+        })) {
       return 1;
     }
-    out << obsv::CollectCollapsedHeapProfile();
     const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
     std::printf(
         "heap profile written to %s (%llu sampled allocations, ~1 per "
@@ -671,12 +681,13 @@ int Run(const std::map<std::string, std::string>& flags) {
 }
 
 /// `ltee_cli ingest`: incremental continuation of a `run --state-out`.
-/// Loads the persisted state, appends the delta tables, reruns the scoped
-/// pipeline (only classes the new tables affect), merges the staged
-/// changes into the cumulative changeset, applies it to a fresh copy of
-/// the base KB, optionally publishes the result as the next snapshot
-/// version, and rewrites the state directory for the ingest after this
-/// one.
+/// Loads the persisted state and the run's trained model, appends the
+/// delta tables, reruns the scoped pipeline (only classes the new tables
+/// affect), merges the staged changes into the cumulative changeset,
+/// applies it to a fresh copy of the base KB, optionally publishes the
+/// result as the next snapshot version, and rewrites the state directory
+/// for the ingest after this one. A missing or corrupt model fails the
+/// ingest before anything is written.
 int Ingest(const std::map<std::string, std::string>& flags) {
   auto state_it = flags.find("state");
   auto delta_it = flags.find("delta");
@@ -690,20 +701,14 @@ int Ingest(const std::map<std::string, std::string>& flags) {
   };
   std::ifstream kb_in = open(dir + "/base_kb.tsv");
   std::ifstream corpus_in = open(dir + "/corpus.tsv");
-  std::ifstream gs_in = open(dir + "/gs_corpus.tsv");
-  std::ifstream gold_in = open(dir + "/gold.tsv");
   std::ifstream state_in = open(dir + "/state.tsv");
   std::ifstream delta_in = open(delta_it->second);
-  if (!kb_in || !corpus_in || !gs_in || !gold_in || !state_in || !delta_in) {
-    return 1;
-  }
+  if (!kb_in || !corpus_in || !state_in || !delta_in) return 1;
   auto kb = kb::LoadKnowledgeBase(kb_in);
   auto corpus = webtable::LoadCorpus(corpus_in);
-  auto gs_corpus = webtable::LoadCorpus(gs_in);
-  auto gold = eval::LoadGoldStandards(gold_in);
   auto state = pipeline::LoadDeltaState(state_in);
   auto delta_corpus = webtable::LoadCorpus(delta_in);
-  if (!kb || !corpus || !gs_corpus || !gold || !state || !delta_corpus) {
+  if (!kb || !corpus || !state || !delta_corpus) {
     std::fprintf(stderr, "failed to load state from %s\n", dir.c_str());
     return 1;
   }
@@ -714,14 +719,21 @@ int Ingest(const std::map<std::string, std::string>& flags) {
   }
 
   // Reconstruct the exact pipeline of the original run: same KB, same
-  // options, same training seed — the delta diff is only sound when the
-  // trained components match bit for bit.
+  // options, the trained model it saved — the delta diff is only sound
+  // when the trained components match bit for bit.
   pipeline::PipelineOptions options;
   pipeline::LteePipeline pipe(*kb, options);
-  util::Rng rng(state->seed);
-  pipeline::TrainPipelineOnGold(&pipe, *gs_corpus, *gold, rng);
+  {
+    util::trace::ScopedSpan span("pipeline.model_load");
+    std::string error;
+    if (!pipeline::LoadPipelineModel(dir + "/model.bin", state->classes,
+                                     &pipe, &error)) {
+      std::fprintf(stderr, "cannot load model: %s\n", error.c_str());
+      return 1;
+    }
+  }
 
-  // Like `run`: enable the ledger only after training.
+  // Like `run`: the ledger records the ingest only.
   const bool want_prov = flags.count("ledger") > 0;
   if (want_prov) {
     prov::SetEnabled(true);
@@ -764,36 +776,26 @@ int Ingest(const std::map<std::string, std::string>& flags) {
   if (want_prov) {
     prov::RefreshQualityGauges();
     const std::string& path = flags.at("ledger");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (!WriteOutput(path, [](std::ostream& out) {
+          out << prov::ExportJsonLines();
+        })) {
       return 1;
     }
-    out << prov::ExportJsonLines();
     std::printf("provenance ledger written to %s (%zu events)\n",
                 path.c_str(), prov::EventCount());
   }
 
   // Rewrite the grown corpus and the updated state so the next ingest
   // continues from here (base_kb/gs_corpus/gold are unchanged: the
-  // changeset stays cumulative against the original base KB).
-  {
-    const std::string path = dir + "/corpus.tsv";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    webtable::SaveCorpus(*corpus, out);
-  }
-  {
-    const std::string path = dir + "/state.tsv";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    pipeline::SaveDeltaState(*state, out);
+  // changeset stays cumulative against the original base KB, and
+  // model.bin is immutable).
+  if (!WriteOutput(dir + "/corpus.tsv", [&](std::ostream& out) {
+        webtable::SaveCorpus(*corpus, out);
+      }) ||
+      !WriteOutput(dir + "/state.tsv", [&](std::ostream& out) {
+        pipeline::SaveDeltaState(*state, out);
+      })) {
+    return 1;
   }
   std::printf("delta state updated in %s\n", dir.c_str());
   return 0;
@@ -924,29 +926,30 @@ int Serve(const std::map<std::string, std::string>& flags) {
 
   // Normal shutdown: write the artifacts ourselves and disarm the crash
   // handlers so they do not write a second time.
+  bool ok = true;
   if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (out) {
-      out << util::trace::ExportChromeTrace() << "\n";
+    if (WriteOutput(trace_out, [](std::ostream& out) {
+          out << util::trace::ExportChromeTrace() << "\n";
+        })) {
       std::printf("request trace written to %s\n", trace_out.c_str());
     } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+      ok = false;
     }
   }
   if (!access_log_out.empty()) {
-    std::ofstream out(access_log_out);
-    if (out) {
-      out << obsv::GlobalAccessLog().ToJsonLines();
+    if (WriteOutput(access_log_out, [](std::ostream& out) {
+          out << obsv::GlobalAccessLog().ToJsonLines();
+        })) {
       std::printf("access log (%zu entries) written to %s\n",
                   obsv::GlobalAccessLog().size(), access_log_out.c_str());
     } else {
-      std::fprintf(stderr, "cannot write %s\n", access_log_out.c_str());
+      ok = false;
     }
   }
   obsv::DisarmCrashFlush();
 
   std::printf("kb service stopped\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 /// `ltee_cli get`: loopback HTTP client for scripts on hosts without
