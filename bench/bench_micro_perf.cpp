@@ -296,10 +296,8 @@ void RunEndToEndTimings() {
       benchmark::DoNotOptimize(run);
     });
     double on_seconds = off_seconds;
-    obsv::ProfilerOptions profiler_options;
-    profiler_options.hz = 99;
     std::string error;
-    if (obsv::StartProfiler(profiler_options, &error)) {
+    if (obsv::StartProfiler(99, &error)) {
       on_seconds = bench::MinWallSeconds(3, [&] {
         auto run = pipe.Run(raw_corpus, classes);
         benchmark::DoNotOptimize(run);

@@ -7,8 +7,7 @@
 #include <mutex>
 
 #include "obsv/access_log.h"
-#include "obsv/memtrack.h"
-#include "obsv/profiler.h"
+#include "obsv/sampling_core.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -119,29 +118,24 @@ bool CrashFlushNow() {
     std::fprintf(stderr, "crash flush: access log written to %s\n",
                  access_log_path.c_str());
   }
+  // Stop each sampler and write whatever it collected: a partial CPU
+  // profile of a crashed run still points at the code that was burning
+  // CPU, and the sampled allocation stacks say where the bytes went.
   bool profile_written = false;
-  if (!profile_path.empty() &&
-      (ProfilerActive() || CurrentProfileStats().samples > 0)) {
-    // Stop sampling and write whatever was collected — a partial profile
-    // of a crashed run still points at the code that was burning CPU.
-    WriteFile(profile_path, CollectCollapsedProfile());
-    std::fprintf(stderr, "crash flush: partial profile written to %s\n",
-                 profile_path.c_str());
+  for (const auto& [path, sampler] :
+       {std::pair{&profile_path, &sampling::CpuSampler()},
+        std::pair{&heap_profile_path, &sampling::HeapSampler()}}) {
+    if (path->empty() ||
+        (!sampler->Armed() && sampler->CurrentStats().samples == 0)) {
+      continue;
+    }
+    WriteFile(*path, sampler->Collect());
+    std::fprintf(stderr, "crash flush: partial %s written to %s\n",
+                 sampler->name(), path->c_str());
     profile_written = true;
   }
-  bool heap_profile_written = false;
-  if (!heap_profile_path.empty() &&
-      (HeapProfilerActive() || CurrentHeapProfileStats().samples > 0)) {
-    // Same idea for the heap: the sampled allocation stacks gathered so
-    // far say where the bytes went before the process died.
-    WriteFile(heap_profile_path, CollectCollapsedHeapProfile());
-    std::fprintf(stderr, "crash flush: partial heap profile written to %s\n",
-                 heap_profile_path.c_str());
-    heap_profile_written = true;
-  }
   return !trace_path.empty() || !metrics_path.empty() ||
-         !access_log_path.empty() || profile_written ||
-         heap_profile_written;
+         !access_log_path.empty() || profile_written;
 }
 
 }  // namespace ltee::obsv

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <new>
-#include <thread>
-#include <unordered_map>
 
-#include "util/metrics.h"
+#include "obsv/sampling_core.h"
+#include "util/json.h"
 #include "util/stack_capture.h"
 #include "util/trace.h"
 
@@ -36,13 +32,7 @@
 #define LTEE_MEMTRACK_INTERPOSE 0
 #endif
 
-#if LTEE_MEMTRACK_INTERPOSE
 #include <sys/resource.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#else
-#include <sys/resource.h>
-#endif
 
 namespace ltee::obsv {
 
@@ -248,12 +238,8 @@ struct SpanCache {
 constinit thread_local SpanCache t_span_cache{0, 0, false, {}};
 
 // ---------------------------------------------------------------------------
-// Heap-profiler session state (sampled allocation stacks), mirroring the
-// CPU profiler's tid-sharded grow-only rings.
-
-inline constexpr int kHeapShards = 8;
-inline constexpr uint32_t kSlotBits = 21;
-inline constexpr uint32_t kSlotMask = (uint32_t{1} << kSlotBits) - 1;
+// Heap-profiler session: sampled allocation stacks in the sampling core's
+// rings (obsv/sampling_core), the ring type the CPU profiler uses too.
 
 struct HeapSample {
   void* frames[util::kMaxStackDepth];
@@ -263,34 +249,28 @@ struct HeapSample {
   char span[util::trace::kTrackedSpanNameLen] = {};
 };
 
-struct HeapShard {
-  std::atomic<uint64_t> head{0};
-  HeapSample* slots = nullptr;
-  std::atomic<uint8_t>* ready = nullptr;
-  size_t capacity = 0;
+class HeapSession final : public sampling::Session {
+ public:
+  constexpr HeapSession() : Session("heap profile", "ltee.memtrack") {}
+
+  sampling::SampleRings<HeapSample> rings;
+
+ private:
+  bool Arm(uint64_t sample_bytes, std::string* error) override;
+  void Disarm() override;
+  std::string Export(const Stats& stats) override;
+  void Clear() override;
+  uint64_t Claimed() const override { return rings.claimed(); }
+  uint64_t Dropped() const override { return rings.dropped(); }
+
+  bool owns_tracking_ = false;
+  bool owns_span_accounting_ = false;
 };
 
-HeapShard g_heap_shards[kHeapShards];
+constinit HeapSession g_heap;
 
 std::atomic<uint64_t> g_heap_sample_bytes{64 * 1024};
 std::atomic<uint32_t> g_heap_gen{0};
-std::atomic<uint64_t> g_heap_dropped{0};
-std::atomic<size_t> g_heap_capacity{0};
-
-/// Serializes Start/Stop/Collect/Reset and spans the whole session: held
-/// open from Start until Reset so a second Start is refused, never
-/// queued (the /memory endpoint's 503).
-std::mutex g_heap_mu;
-bool g_heap_session_open = false;
-bool g_heap_armed = false;
-bool g_heap_owns_tracking = false;
-bool g_heap_owns_span_accounting = false;
-double g_heap_duration_s = 0.0;
-std::chrono::steady_clock::time_point g_heap_started_at;
-
-std::atomic<uint64_t> g_total_captures{0};
-std::atomic<uint64_t> g_total_samples{0};
-std::atomic<uint64_t> g_total_dropped{0};
 
 /// Byte generation tag stored in sample refs: cycles 1..255, never 0, so
 /// a ref from a previous session can (almost) never decrement a slot the
@@ -400,30 +380,23 @@ LTEE_MEMTRACK_NOINLINE void MaybeSample(AllocHeader* header, size_t size,
   if (ts.budget > 0) return;
   ts.budget = static_cast<int64_t>(
       g_heap_sample_bytes.load(std::memory_order_relaxed));
-  const unsigned shard_index = static_cast<unsigned>(
-      static_cast<unsigned long>(::syscall(SYS_gettid)) % kHeapShards);
-  HeapShard& shard = g_heap_shards[shard_index];
-  const uint64_t idx = shard.head.fetch_add(1, std::memory_order_relaxed);
-  if (shard.slots == nullptr || idx >= shard.capacity || idx > kSlotMask) {
-    g_heap_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  HeapSample& sample = shard.slots[idx];
+  uint32_t id = 0;
+  HeapSample* sample = g_heap.rings.Claim(&id);
+  if (sample == nullptr) return;
   // skip=3 drops MaybeSample, RecordAlloc and TrackedAlloc; the operator
   // replacement itself stays and is scrubbed at collect time by symbol
   // name (inlining of the thin operator bodies is compiler-dependent).
-  sample.depth = util::CaptureStack(sample.frames, util::kMaxStackDepth, 3);
-  sample.size = size;
-  sample.live.store(static_cast<int64_t>(size), std::memory_order_relaxed);
+  sample->depth = util::CaptureStack(sample->frames, util::kMaxStackDepth, 3);
+  sample->size = size;
+  sample->live.store(static_cast<int64_t>(size), std::memory_order_relaxed);
   if (span != nullptr && span[0] != '\0') {
-    std::strncpy(sample.span, span, sizeof(sample.span) - 1);
-    sample.span[sizeof(sample.span) - 1] = '\0';
+    std::strncpy(sample->span, span, sizeof(sample->span) - 1);
+    sample->span[sizeof(sample->span) - 1] = '\0';
   } else {
-    sample.span[0] = '\0';
+    sample->span[0] = '\0';
   }
-  shard.ready[idx].store(1, std::memory_order_release);
-  header->sample_ref = (GenByte(gen) << 24) | (shard_index << kSlotBits) |
-                       static_cast<uint32_t>(idx);
+  g_heap.rings.Publish(id);
+  header->sample_ref = (GenByte(gen) << 24) | id;
 }
 
 LTEE_MEMTRACK_NOINLINE void RecordAlloc(AllocHeader* header, size_t size) {
@@ -532,72 +505,15 @@ LTEE_MEMTRACK_NOINLINE void TrackedFree(void* ptr) {
     if (ref != kNoSampleRef &&
         ((ref >> 24) & 0xFFu) ==
             GenByte(g_heap_gen.load(std::memory_order_relaxed))) {
-      HeapShard& shard = g_heap_shards[(ref >> kSlotBits) & (kHeapShards - 1)];
-      const uint32_t idx = ref & kSlotMask;
-      if (idx < shard.capacity &&
-          shard.ready[idx].load(std::memory_order_acquire) != 0) {
-        shard.slots[idx].live.fetch_sub(static_cast<int64_t>(size),
-                                        std::memory_order_relaxed);
+      if (HeapSample* sample = g_heap.rings.Find(ref & 0xFFFFFFu)) {
+        sample->live.fetch_sub(static_cast<int64_t>(size),
+                               std::memory_order_relaxed);
       }
     }
   }
   std::free(static_cast<char*>(ptr) - offset);
 }
 #endif  // LTEE_MEMTRACK_INTERPOSE
-
-uint64_t CollectedHeapSampleCountLocked() {
-  uint64_t total = 0;
-  const size_t capacity = g_heap_capacity.load(std::memory_order_relaxed);
-  for (HeapShard& shard : g_heap_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    total += head < capacity ? head : capacity;
-  }
-  return total;
-}
-
-void StopHeapLocked() {
-  if (!g_heap_armed) return;
-  g_modes.heap_sampling.store(false, std::memory_order_relaxed);
-  g_heap_duration_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() -
-                          g_heap_started_at)
-                          .count();
-  g_heap_armed = false;
-  if (g_heap_owns_span_accounting) {
-    SetSpanAccountingEnabled(false);
-    g_heap_owns_span_accounting = false;
-  }
-  if (g_heap_owns_tracking) {
-    SetMemTrackingEnabled(false);
-    g_heap_owns_tracking = false;
-  }
-  const uint64_t samples = CollectedHeapSampleCountLocked();
-  const uint64_t dropped = g_heap_dropped.load(std::memory_order_relaxed);
-  g_total_samples.fetch_add(samples, std::memory_order_relaxed);
-  g_total_dropped.fetch_add(dropped, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.memtrack.samples").Increment(samples);
-  util::Metrics().GetCounter("ltee.memtrack.dropped").Increment(dropped);
-}
-
-void ResetHeapLocked() {
-  StopHeapLocked();
-  const size_t capacity = g_heap_capacity.load(std::memory_order_relaxed);
-  for (HeapShard& shard : g_heap_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < capacity ? head : capacity);
-    for (size_t i = 0; i < used; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_heap_dropped.store(0, std::memory_order_relaxed);
-  g_heap_duration_s = 0.0;
-  // Invalidate sample refs held by still-live allocations: their frees
-  // must not decrement slots a new session will reuse.
-  g_heap_gen.fetch_add(1, std::memory_order_relaxed);
-  g_heap_session_open = false;
-}
 
 /// Frames the allocator machinery itself contributes to a sampled stack;
 /// scrubbed from the leaf end at collect time so flamegraphs lead with
@@ -611,107 +527,96 @@ bool IsAllocatorFrame(const std::string& symbol) {
          symbol.find("std::allocator") != std::string::npos;
 }
 
-std::string CollectCollapsedHeapLocked() {
-  StopHeapLocked();
-  // Symbolization and aggregation allocate heavily; none of it should
-  // show up in the profile being exported.
-  ScopedHookGuard guard;
-  const size_t capacity = g_heap_capacity.load(std::memory_order_relaxed);
-  // Aggregate identical stacks by live bytes; symbolize each distinct pc
-  // exactly once. Allocation is fine here: sampling has stopped.
-  std::map<std::string, uint64_t> lines;
-  struct SymbolInfo {
-    std::string clean;
-    bool allocator = false;
-  };
-  std::unordered_map<const void*, SymbolInfo> symbols;
-  uint64_t samples = 0;
-  for (HeapShard& shard : g_heap_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < capacity ? head : capacity);
-    for (size_t i = 0; i < used; ++i) {
-      if (shard.ready[i].load(std::memory_order_acquire) == 0) continue;
-      const HeapSample& sample = shard.slots[i];
-      ++samples;
-      const int64_t live = sample.live.load(std::memory_order_relaxed);
-      if (live <= 0) continue;  // fully freed since it was sampled
-      auto info = [&symbols](const void* pc) -> const SymbolInfo& {
-        auto it = symbols.find(pc);
-        if (it == symbols.end()) {
-          const std::string raw = util::SymbolizeAddress(pc).name;
-          it = symbols
-                   .emplace(pc, SymbolInfo{CollapsedFrameName(raw),
-                                           IsAllocatorFrame(raw)})
-                   .first;
-        }
-        return it->second;
-      };
-      // Samples store leaf-first; drop the allocator's own frames off
-      // the leaf end, then emit root-first.
-      int leaf = 0;
-      while (leaf < sample.depth && info(sample.frames[leaf]).allocator) {
-        ++leaf;
-      }
-      std::string line = "span:";
-      line += sample.span[0] != '\0' ? CollapsedSpanName(sample.span)
-                                     : "(none)";
-      for (int f = sample.depth - 1; f >= leaf; --f) {
-        line += ';';
-        line += info(sample.frames[f]).clean;
-      }
-      lines[line] += static_cast<uint64_t>(live);
-    }
-  }
-  const MemtrackTotals totals = GetMemtrackTotals();
-  const size_t sample_kb =
-      (g_heap_sample_bytes.load(std::memory_order_relaxed) + 1023) / 1024;
-  char header[256];
-  std::snprintf(header, sizeof(header),
-                "# ltee-profile heap=1 sample_kb=%zu samples=%llu "
-                "dropped=%llu duration_s=%.3f live_bytes=%llu "
-                "live_allocs=%llu peak_rss_kb=%llu\n",
-                sample_kb, static_cast<unsigned long long>(samples),
-                static_cast<unsigned long long>(
-                    g_heap_dropped.load(std::memory_order_relaxed)),
-                g_heap_duration_s,
-                static_cast<unsigned long long>(totals.live_bytes),
-                static_cast<unsigned long long>(totals.live_allocs),
-                static_cast<unsigned long long>(ReadPeakRssBytes() / 1024));
-  std::string out = header;
-  for (const SpanBytes& span : MemtrackSpanBytes()) {
-    char line[192];
-    std::snprintf(line, sizeof(line),
-                  "# ltee-memtrack-span %s live=%llu cum=%llu allocs=%llu\n",
-                  CollapsedSpanName(span.span.c_str()).c_str(),
-                  static_cast<unsigned long long>(span.live_bytes),
-                  static_cast<unsigned long long>(span.cum_bytes),
-                  static_cast<unsigned long long>(span.allocs));
-    out += line;
-  }
-  for (const auto& [line, bytes] : lines) {
-    out += line;
-    out += ' ';
-    out += std::to_string(bytes);
-    out += '\n';
-  }
-  return out;
-}
-
-uint64_t ParseU64Token(const std::string& line, const char* key) {
-  const std::string needle = std::string(" ") + key + "=";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10);
-}
-
 std::string FormatKb(uint64_t bytes) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", static_cast<double>(bytes) / 1024.0);
   return buf;
 }
 
+size_t SampleKb() {
+  return (g_heap_sample_bytes.load(std::memory_order_relaxed) + 1023) / 1024;
+}
+
 }  // namespace
+
+bool HeapSession::Arm(uint64_t sample_bytes, std::string* error) {
+  if (!MemTrackingSupported()) {
+    if (error != nullptr) {
+      *error = "memory tracking unsupported on this build (sanitizer or "
+               "non-Linux)";
+    }
+    return false;
+  }
+  {
+    // The sample rings are ~75 MB of observer state; keep them out of
+    // the live-byte counters they exist to measure.
+    ScopedHookGuard guard;
+    rings.Allocate();
+  }
+  g_heap_sample_bytes.store(sample_bytes, std::memory_order_relaxed);
+  // Sessions are what per-span bytes exist for; attribution runs exactly
+  // as long as the session so plain counters mode stays cheap.
+  owns_tracking_ = !MemTrackingEnabled();
+  owns_span_accounting_ = !SpanAccountingEnabled();
+  if (owns_tracking_) SetMemTrackingEnabled(true);
+  if (owns_span_accounting_) SetSpanAccountingEnabled(true);
+  g_modes.heap_sampling.store(true, std::memory_order_release);
+  return true;
+}
+
+void HeapSession::Disarm() {
+  g_modes.heap_sampling.store(false, std::memory_order_relaxed);
+  if (owns_span_accounting_) SetSpanAccountingEnabled(false);
+  if (owns_tracking_) SetMemTrackingEnabled(false);
+}
+
+void HeapSession::Clear() {
+  rings.Clear();
+  // New generation: per-thread countdowns re-seed, and the sample refs
+  // still-live allocations hold stop matching, so their frees cannot
+  // decrement slots the next session reuses.
+  g_heap_gen.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::string HeapSession::Export(const Stats& stats) {
+  // Symbolization and aggregation allocate heavily; none of it should
+  // show up in the profile being exported.
+  ScopedHookGuard guard;
+  // Stacks weigh their LIVE bytes, so fully freed samples drop out.
+  sampling::CollapseWriter writer(&IsAllocatorFrame);
+  uint64_t samples = 0;
+  rings.ForEach([&](const HeapSample& sample) {
+    ++samples;
+    const int64_t live = sample.live.load(std::memory_order_relaxed);
+    if (live > 0) {
+      writer.Add(sample.span, sample.frames, sample.depth,
+                 static_cast<uint64_t>(live));
+    }
+  });
+  const MemtrackTotals totals = GetMemtrackTotals();
+  char header[256];
+  std::snprintf(header, sizeof(header),
+                "# ltee-profile heap=1 sample_kb=%zu samples=%llu "
+                "dropped=%llu duration_s=%.3f live_bytes=%llu "
+                "live_allocs=%llu peak_rss_kb=%llu\n",
+                SampleKb(), static_cast<unsigned long long>(samples),
+                static_cast<unsigned long long>(stats.dropped),
+                stats.duration_s,
+                static_cast<unsigned long long>(totals.live_bytes),
+                static_cast<unsigned long long>(totals.live_allocs),
+                static_cast<unsigned long long>(ReadPeakRssBytes() / 1024));
+  std::string out = header;
+  for (const SpanBytes& span : MemtrackSpanBytes()) {
+    out += "# ltee-memtrack-span ";
+    out += sampling::CollapsedSpanName(span.span);
+    out += " live=" + std::to_string(span.live_bytes);
+    out += " cum=" + std::to_string(span.cum_bytes);
+    out += " allocs=" + std::to_string(span.allocs);
+    out += '\n';
+  }
+  writer.AppendTo(&out);
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Public API
@@ -822,156 +727,62 @@ uint64_t ReadPeakRssBytes() {
   return 0;
 }
 
-bool StartHeapProfiler(const HeapProfilerOptions& options,
-                       std::string* error) {
-#if !LTEE_MEMTRACK_INTERPOSE
-  (void)options;
-  if (error != nullptr) {
-    *error = "memory tracking unsupported on this build (sanitizer or "
-             "non-Linux)";
-  }
-  return false;
-#else
-  if (!util::StackCaptureSupported()) {
-    if (error != nullptr) *error = "stack capture unsupported";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  if (g_heap_session_open) {
-    if (error != nullptr) *error = "a heap profile capture is already active";
-    return false;
-  }
-  const size_t capacity =
-      std::min<size_t>(std::max<size_t>(options.table_capacity, 64),
-                       kSlotMask - 1);
-  util::WarmUpStackCapture();
-  // The sample tables are ~60 MB of observer state; keep them out of the
-  // live-byte counters they exist to measure.
-  ScopedHookGuard guard;
-  for (HeapShard& shard : g_heap_shards) {
-    if (shard.capacity < capacity) {
-      // Grow-only: old arrays are leaked deliberately so a racing free
-      // chasing a stale sample ref can never touch freed memory.
-      shard.slots = new HeapSample[capacity];
-      shard.ready = new std::atomic<uint8_t>[capacity];
-      shard.capacity = capacity;
-    }
-    for (size_t i = 0; i < capacity; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_heap_capacity.store(capacity, std::memory_order_relaxed);
-  g_heap_sample_bytes.store(
-      std::min<size_t>(std::max<size_t>(options.sample_bytes, 1),
-                       size_t{1} << 30),
-      std::memory_order_relaxed);
-  g_heap_dropped.store(0, std::memory_order_relaxed);
-  g_heap_duration_s = 0.0;
-  // New generation: per-thread countdowns re-seed and stale refs from
-  // the previous session stop matching.
-  g_heap_gen.fetch_add(1, std::memory_order_relaxed);
-  if (!MemTrackingEnabled()) {
-    SetMemTrackingEnabled(true);
-    g_heap_owns_tracking = true;
-  }
-  // Sessions are what per-span bytes exist for; attribution runs exactly
-  // as long as the session so plain counters mode stays cheap.
-  if (!SpanAccountingEnabled()) {
-    SetSpanAccountingEnabled(true);
-    g_heap_owns_span_accounting = true;
-  }
-  g_heap_started_at = std::chrono::steady_clock::now();
-  g_modes.heap_sampling.store(true, std::memory_order_release);
-  g_heap_armed = true;
-  g_heap_session_open = true;
-  g_total_captures.fetch_add(1, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.memtrack.captures").Increment();
-  return true;
-#endif
+sampling::Session& sampling::HeapSampler() { return g_heap; }
+
+bool StartHeapProfiler(size_t sample_bytes, std::string* error) {
+  return g_heap.Start(std::clamp<size_t>(sample_bytes, 1, size_t{1} << 30),
+                      error);
 }
 
-bool HeapProfilerActive() {
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  return g_heap_armed;
-}
+bool HeapProfilerActive() { return g_heap.Armed(); }
 
-void StopHeapProfiler() {
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  StopHeapLocked();
-}
+void StopHeapProfiler() { g_heap.Stop(); }
 
 HeapProfileStats CurrentHeapProfileStats() {
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  HeapProfileStats stats;
-  stats.samples = CollectedHeapSampleCountLocked();
-  stats.dropped = g_heap_dropped.load(std::memory_order_relaxed);
-  stats.sample_kb =
-      (g_heap_sample_bytes.load(std::memory_order_relaxed) + 1023) / 1024;
-  stats.duration_s =
-      g_heap_armed ? std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - g_heap_started_at)
-                         .count()
-                   : g_heap_duration_s;
-  return stats;
+  const sampling::Session::Stats stats = g_heap.CurrentStats();
+  return {stats.samples, stats.dropped, SampleKb(), stats.duration_s};
 }
 
-MemtrackCaptureTotals GetMemtrackCaptureTotals() {
-  MemtrackCaptureTotals totals;
-  totals.captures = g_total_captures.load(std::memory_order_relaxed);
-  totals.samples = g_total_samples.load(std::memory_order_relaxed);
-  totals.dropped = g_total_dropped.load(std::memory_order_relaxed);
-  return totals;
-}
+std::string CollectCollapsedHeapProfile() { return g_heap.Collect(); }
 
-std::string CollectCollapsedHeapProfile() {
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  return CollectCollapsedHeapLocked();
-}
-
-void ResetHeapProfiler() {
-  std::lock_guard<std::mutex> lock(g_heap_mu);
-  ResetHeapLocked();
-}
+void ResetHeapProfiler() { g_heap.Reset(); }
 
 bool CaptureHeapProfile(double seconds, size_t sample_kb,
                         std::string* collapsed, std::string* error) {
-  HeapProfilerOptions options;
-  options.sample_bytes = sample_kb * 1024;
-  if (!StartHeapProfiler(options, error)) return false;
-  const double clamped = std::clamp(seconds, 0.01, 120.0);
-  std::this_thread::sleep_for(std::chrono::duration<double>(clamped));
-  if (collapsed != nullptr) *collapsed = CollectCollapsedHeapProfile();
-  ResetHeapProfiler();
-  return true;
+  return g_heap.Capture(
+      seconds, std::clamp<size_t>(sample_kb * 1024, 1, size_t{1} << 30),
+      collapsed, error);
 }
 
 bool ParseHeapProfileHeader(const std::string& text,
                             HeapProfileHeader* out) {
   if (out == nullptr) return false;
   *out = HeapProfileHeader();
+  constexpr std::string_view kSpanTag = "# ltee-memtrack-span ";
   size_t pos = 0;
   while (pos < text.size()) {
     size_t end = text.find('\n', pos);
     if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
+    const std::string_view line(text.data() + pos, end - pos);
     pos = end + 1;
-    if (line.rfind("# ltee-profile", 0) == 0 &&
-        line.find(" heap=1") != std::string::npos) {
+    uint64_t heap = 0;
+    if (line.rfind("# ltee-profile", 0) == 0) {
+      sampling::ReadField(line, "heap", &heap);
+    }
+    if (heap == 1) {
       out->is_heap = true;
-      out->sample_kb = static_cast<size_t>(ParseU64Token(line, "sample_kb"));
-      out->live_bytes = ParseU64Token(line, "live_bytes");
-      out->live_allocs = ParseU64Token(line, "live_allocs");
-      out->peak_rss_kb = ParseU64Token(line, "peak_rss_kb");
-    } else if (line.rfind("# ltee-memtrack-span ", 0) == 0) {
-      const size_t name_start = std::strlen("# ltee-memtrack-span ");
-      const size_t name_end = line.find(' ', name_start);
-      if (name_end == std::string::npos) continue;
+      sampling::ReadField(line, "sample_kb", &out->sample_kb);
+      sampling::ReadField(line, "live_bytes", &out->live_bytes);
+      sampling::ReadField(line, "live_allocs", &out->live_allocs);
+      sampling::ReadField(line, "peak_rss_kb", &out->peak_rss_kb);
+    } else if (line.rfind(kSpanTag, 0) == 0) {
+      const size_t name_end = line.find(' ', kSpanTag.size());
+      if (name_end == std::string_view::npos) continue;
       SpanBytes span;
-      span.span = line.substr(name_start, name_end - name_start);
-      span.live_bytes = ParseU64Token(line, "live");
-      span.cum_bytes = ParseU64Token(line, "cum");
-      span.allocs = ParseU64Token(line, "allocs");
+      span.span = line.substr(kSpanTag.size(), name_end - kSpanTag.size());
+      sampling::ReadField(line, "live", &span.live_bytes);
+      sampling::ReadField(line, "cum", &span.cum_bytes);
+      sampling::ReadField(line, "allocs", &span.allocs);
       out->spans.push_back(std::move(span));
     }
   }
@@ -981,6 +792,8 @@ bool ParseHeapProfileHeader(const std::string& text,
 std::string HeapAnalysisToText(const ProfileAnalysis& analysis,
                                const HeapProfileHeader& header,
                                size_t top_n) {
+  // Each row formats its numbers into `buf`, then appends the name
+  // whole: demangled frame names run to hundreds of characters.
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof(buf),
@@ -1002,12 +815,11 @@ std::string HeapAnalysisToText(const ProfileAnalysis& analysis,
     out += "Bytes by span (live / cumulative):\n";
     out += "      LIVE_KB        CUM_KB    ALLOCS  SPAN\n";
     for (const SpanBytes& span : header.spans) {
-      std::snprintf(buf, sizeof(buf), "  %11s %13s %9llu  %s\n",
+      std::snprintf(buf, sizeof(buf), "  %11s %13s %9llu  ",
                     FormatKb(span.live_bytes).c_str(),
                     FormatKb(span.cum_bytes).c_str(),
-                    static_cast<unsigned long long>(span.allocs),
-                    span.span.c_str());
-      out += buf;
+                    static_cast<unsigned long long>(span.allocs));
+      out += buf + span.span + '\n';
     }
   }
   uint64_t live_sampled = 0;
@@ -1019,20 +831,18 @@ std::string HeapAnalysisToText(const ProfileAnalysis& analysis,
   size_t shown = 0;
   for (const auto& frame : analysis.frames) {
     if (frame.self == 0 || shown >= top_n) break;
-    std::snprintf(buf, sizeof(buf), "  %11s %13s  %5.1f%%  %s\n",
+    std::snprintf(buf, sizeof(buf), "  %11s %13s  %5.1f%%  ",
                   FormatKb(frame.self).c_str(), FormatKb(frame.total).c_str(),
-                  100.0 * static_cast<double>(frame.self) / denom,
-                  frame.name.c_str());
-    out += buf;
+                  100.0 * static_cast<double>(frame.self) / denom);
+    out += buf + frame.name + '\n';
     ++shown;
   }
   if (!analysis.spans.empty()) {
     out += "Live sampled bytes by span:\n";
     for (const auto& span : analysis.spans) {
-      std::snprintf(buf, sizeof(buf), "  %11s  %5.1f%%  %s\n",
-                    FormatKb(span.samples).c_str(), span.pct,
-                    span.name.c_str());
-      out += buf;
+      std::snprintf(buf, sizeof(buf), "  %11s  %5.1f%%  ",
+                    FormatKb(span.samples).c_str(), span.pct);
+      out += buf + span.name + '\n';
     }
   }
   return out;
@@ -1041,23 +851,6 @@ std::string HeapAnalysisToText(const ProfileAnalysis& analysis,
 std::string HeapAnalysisToJson(const ProfileAnalysis& analysis,
                                const HeapProfileHeader& header,
                                size_t top_n) {
-  auto escape = [](const std::string& in) {
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char hex[8];
-        std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-        out += hex;
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"sample_kb\":%zu,\"samples\":%llu,\"dropped\":%llu,"
@@ -1073,12 +866,11 @@ std::string HeapAnalysisToJson(const ProfileAnalysis& analysis,
   std::string out = buf;
   bool first = true;
   for (const SpanBytes& span : header.spans) {
-    if (!first) out += ',';
+    out += first ? "{\"name\":" : ",{\"name\":";
     first = false;
+    out += util::JsonQuote(span.span);
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"live_bytes\":%llu,\"cum_bytes\":%llu,"
-                  "\"allocs\":%llu}",
-                  escape(span.span).c_str(),
+                  ",\"live_bytes\":%llu,\"cum_bytes\":%llu,\"allocs\":%llu}",
                   static_cast<unsigned long long>(span.live_bytes),
                   static_cast<unsigned long long>(span.cum_bytes),
                   static_cast<unsigned long long>(span.allocs));
@@ -1093,12 +885,12 @@ std::string HeapAnalysisToJson(const ProfileAnalysis& analysis,
   size_t shown = 0;
   for (const auto& frame : analysis.frames) {
     if (frame.self == 0 || shown >= top_n) break;
-    if (!first) out += ',';
+    out += first ? "{\"name\":" : ",{\"name\":";
     first = false;
+    out += util::JsonQuote(frame.name);
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"self_bytes\":%llu,\"total_bytes\":"
-                  "%llu,\"self_pct\":%.2f}",
-                  escape(frame.name).c_str(),
+                  ",\"self_bytes\":%llu,\"total_bytes\":%llu,\"self_pct\":"
+                  "%.2f}",
                   static_cast<unsigned long long>(frame.self),
                   static_cast<unsigned long long>(frame.total),
                   100.0 * static_cast<double>(frame.self) / denom);

@@ -28,7 +28,7 @@ namespace ltee::obsv {
 ///
 /// On top of the counters, a heap-profiler session samples
 /// every ~N allocated bytes, capturing the allocation stack
-/// (util::CaptureStack) into lock-free tid-sharded tables; collection
+/// (util::CaptureStack) into lock-free tid-sharded rings; collection
 /// exports a flamegraph.pl-compatible collapsed heap profile
 /// (`span:NAME;frames... LIVE_BYTES`) whose header reuses the
 /// `# ltee-profile` prefix so ParseCollapsedProfile applies unchanged.
@@ -36,8 +36,9 @@ namespace ltee::obsv {
 /// Re-entrancy and safety rules (also in DESIGN.md):
 ///  - The hooks never allocate, never lock, and never recurse: a
 ///    thread-local guard makes any nested allocation (symbolizer warm-up,
-///    sample-table growth) bypass accounting while still getting a
-///    header, so every pointer freed later is interpretable.
+///    the sample rings' one-time allocation) bypass accounting while
+///    still getting a header, so every pointer freed later is
+///    interpretable.
 ///  - The header is unconditional; enabling/disabling tracking mid-run
 ///    can never mismatch an allocation with its free (a counted bit in
 ///    the header keeps the live counters exact across transitions).
@@ -96,21 +97,15 @@ uint64_t ReadPeakRssBytes();
 // ---------------------------------------------------------------------------
 // Heap-profiler session (sampled allocation stacks)
 
-struct HeapProfilerOptions {
-  /// Sample roughly one allocation per this many allocated bytes, per
-  /// thread. Clamped to [1, 1 << 30]. Small values sample every
-  /// allocation — what the tests use for determinism.
-  size_t sample_bytes = 64 * 1024;
-  /// Capacity of each tid-sharded sample table; a full shard counts
-  /// further samples as dropped, the hook never blocks or reallocates.
-  size_t table_capacity = 16384;
-};
-
-/// Opens the single global heap-profile session: arms sampling and (if
-/// not already on) enables tracking for the duration. Refuses — never
-/// queues — when a session is already open. Mirrors StartProfiler.
-bool StartHeapProfiler(const HeapProfilerOptions& options,
-                       std::string* error);
+/// Opens the single global heap-profile session: arms sampling of
+/// roughly one allocation per `sample_bytes` allocated bytes per thread
+/// (clamped to [1, 1 << 30]; small values sample every allocation — what
+/// the tests use for determinism) and, if not already on, enables
+/// tracking for the duration. The samples go into 8 tid-sharded rings of
+/// 16384 slots, like the CPU profiler's; a full ring counts further
+/// samples as dropped, the hook never blocks or reallocates. Refuses —
+/// never queues — when a session is already open. Mirrors StartProfiler.
+bool StartHeapProfiler(size_t sample_bytes, std::string* error);
 
 /// True between a successful StartHeapProfiler and StopHeapProfiler.
 bool HeapProfilerActive();
@@ -126,14 +121,6 @@ struct HeapProfileStats {
   double duration_s = 0.0;
 };
 HeapProfileStats CurrentHeapProfileStats();
-
-/// Lifetime totals across all sessions, for /stats.
-struct MemtrackCaptureTotals {
-  uint64_t captures = 0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-};
-MemtrackCaptureTotals GetMemtrackCaptureTotals();
 
 /// Stops (if needed) and serializes the session: a `# ltee-profile
 /// heap=1 sample_kb=... samples=... dropped=... duration_s=...

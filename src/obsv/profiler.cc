@@ -3,25 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <mutex>
 #include <set>
-#include <thread>
-#include <unordered_map>
 
+#include "obsv/sampling_core.h"
 #include "util/json.h"
-#include "util/metrics.h"
 #include "util/stack_capture.h"
 #include "util/trace.h"
 
 #if defined(__linux__)
 #define LTEE_HAS_SIGPROF 1
 #include <signal.h>
-#include <sys/syscall.h>
 #include <sys/time.h>
 #include <unistd.h>
 #else
@@ -37,263 +31,58 @@ namespace {
 struct RawSample {
   void* frames[util::kMaxStackDepth];
   int32_t depth;
-  int32_t tid;
   char span[util::trace::kTrackedSpanNameLen];
   char trace_id[33];
 };
 
-/// Samples are sharded by kernel tid so concurrent deliveries (SIGPROF
-/// can land on whichever thread is running) rarely contend; the
-/// fetch_add slot claim keeps even a collision safe. Slot memory is
-/// allocated by StartProfiler and only ever grows — the handler sees
-/// either null (capture not armed) or fully-built rings.
-constexpr int kShards = 8;
-
-struct Shard {
-  std::atomic<uint64_t> head{0};
-  RawSample* slots = nullptr;
-  std::atomic<uint8_t>* ready = nullptr;
-  size_t capacity = 0;
-};
-
-Shard g_shards[kShards];
-std::atomic<size_t> g_ring_capacity{0};
-std::atomic<uint64_t> g_dropped{0};
-/// Handler gate: the only state the handler consults before touching
-/// anything else.
+/// Handler gate: the only state the handler consults before claiming a
+/// slot.
 std::atomic<bool> g_sampling{false};
-
-/// API-level state, all under g_mu. `g_session_open` spans
-/// Start→Stop→Collect→Reset so a second capture cannot interleave with
-/// an export in progress.
-std::mutex g_mu;
-bool g_timer_armed = false;
-bool g_session_open = false;
-int g_hz = 0;
-std::chrono::steady_clock::time_point g_started_at;
-double g_duration_s = 0.0;
 #if LTEE_HAS_SIGPROF
 struct sigaction g_old_action;
 #endif
 
-std::atomic<uint64_t> g_total_captures{0};
-std::atomic<uint64_t> g_total_samples{0};
-std::atomic<uint64_t> g_total_dropped{0};
+class CpuSession final : public sampling::Session {
+ public:
+  constexpr CpuSession() : Session("profile", "ltee.profiler") {}
+
+  sampling::SampleRings<RawSample> rings;
+
+ private:
+  bool Arm(uint64_t hz, std::string* error) override;
+  void Disarm() override;
+  std::string Export(const Stats& stats) override;
+  void Clear() override { rings.Clear(); }
+  uint64_t Claimed() const override { return rings.claimed(); }
+  uint64_t Dropped() const override { return rings.dropped(); }
+};
+
+constinit CpuSession g_cpu;
 
 #if LTEE_HAS_SIGPROF
 
 void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* /*ctx*/) {
   if (!g_sampling.load(std::memory_order_relaxed)) return;
   const int saved_errno = errno;
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  const long tid = ::syscall(SYS_gettid);
-  Shard& shard = g_shards[static_cast<unsigned long>(tid) % kShards];
-  const uint64_t idx = shard.head.fetch_add(1, std::memory_order_relaxed);
-  if (capacity == 0 || idx >= capacity) {
-    // Ring full: count the loss and move on — the handler never blocks
-    // and never reallocates.
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    errno = saved_errno;
-    return;
+  uint32_t id = 0;
+  if (RawSample* sample = g_cpu.rings.Claim(&id)) {
+    // Skip 2 innermost frames: this handler and the kernel signal
+    // trampoline.
+    sample->depth =
+        util::CaptureStack(sample->frames, util::kMaxStackDepth, 2);
+    util::trace::CurrentSpanNameForSignal(sample->span,
+                                          sizeof(sample->span));
+    util::trace::CurrentTraceIdForSignal(sample->trace_id,
+                                         sizeof(sample->trace_id));
+    g_cpu.rings.Publish(id);
   }
-  RawSample& sample = shard.slots[idx];
-  // Skip 2 innermost frames: this handler and the kernel signal
-  // trampoline.
-  sample.depth = util::CaptureStack(sample.frames, util::kMaxStackDepth, 2);
-  sample.tid = static_cast<int32_t>(tid);
-  util::trace::CurrentSpanNameForSignal(sample.span, sizeof(sample.span));
-  util::trace::CurrentTraceIdForSignal(sample.trace_id,
-                                       sizeof(sample.trace_id));
-  shard.ready[idx].store(1, std::memory_order_release);
   errno = saved_errno;
 }
 
-#endif  // LTEE_HAS_SIGPROF
-
-uint64_t CollectedSampleCountLocked() {
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  uint64_t total = 0;
-  for (const Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    total += head < capacity ? head : capacity;
-  }
-  return total;
-}
-
-void StopLocked() {
-  if (!g_timer_armed) return;
-#if LTEE_HAS_SIGPROF
-  itimerval disarm;
-  std::memset(&disarm, 0, sizeof(disarm));
-  ::setitimer(ITIMER_PROF, &disarm, nullptr);
-  g_sampling.store(false, std::memory_order_relaxed);
-  g_duration_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - g_started_at)
-                     .count();
-  // Let any in-flight handler on another thread finish before restoring
-  // the old disposition (a handler takes microseconds; this is belt and
-  // braces, not synchronization the rings need).
-  ::usleep(2000);
-  ::sigaction(SIGPROF, &g_old_action, nullptr);
-#endif
-  util::trace::SetSpanTrackingEnabled(false);
-  g_timer_armed = false;
-  const uint64_t samples = CollectedSampleCountLocked();
-  const uint64_t dropped = g_dropped.load(std::memory_order_relaxed);
-  g_total_samples.fetch_add(samples, std::memory_order_relaxed);
-  g_total_dropped.fetch_add(dropped, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.profiler.samples").Increment(samples);
-  util::Metrics().GetCounter("ltee.profiler.dropped").Increment(dropped);
-}
-
-void ResetLocked() {
-  StopLocked();
-  for (Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < shard.capacity ? head : shard.capacity);
-    for (size_t i = 0; i < used; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_dropped.store(0, std::memory_order_relaxed);
-  g_duration_s = 0.0;
-  g_hz = 0;
-  g_session_open = false;
-}
-
-/// Makes a symbol usable as a collapsed-stack frame: strips the
-/// parameter list from demangled C++ names (keeping "operator()"'s
-/// parens, which are part of the name) and replaces the two characters
-/// the format reserves — ';' separates frames, ' ' separates the count.
-std::string CleanFrameName(const std::string& raw) {
-  std::string name = raw;
-  size_t paren = name.find('(');
-  while (paren != std::string::npos && paren >= 8 &&
-         name.compare(paren - 8, 8, "operator") == 0) {
-    paren = name.find('(', paren + 1);
-  }
-  if (paren != std::string::npos && paren > 0) name.resize(paren);
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == ' ') c = '_';
-  }
-  return name.empty() ? std::string("[unknown]") : name;
-}
-
-std::string CleanSpanName(const char* span) {
-  std::string name(span);
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == ' ') c = '_';
-  }
-  return name;
-}
-
-std::string CollectCollapsedLocked() {
-  StopLocked();
-  const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  // Aggregate identical stacks; symbolize every distinct pc exactly once.
-  std::map<std::string, uint64_t> counts;
-  std::unordered_map<const void*, std::string> symbols;
-  uint64_t samples = 0;
-  uint64_t request_samples = 0;
-  for (Shard& shard : g_shards) {
-    const uint64_t head = shard.head.load(std::memory_order_relaxed);
-    const size_t used =
-        static_cast<size_t>(head < capacity ? head : capacity);
-    for (size_t i = 0; i < used; ++i) {
-      if (shard.ready[i].load(std::memory_order_acquire) == 0) continue;
-      const RawSample& sample = shard.slots[i];
-      ++samples;
-      if (sample.trace_id[0] != '\0') ++request_samples;
-      std::string line = "span:";
-      line += sample.span[0] != '\0' ? CleanSpanName(sample.span) : "(none)";
-      // Samples store leaf-first; collapsed lines read root-first.
-      for (int f = sample.depth - 1; f >= 0; --f) {
-        const void* pc = sample.frames[f];
-        auto it = symbols.find(pc);
-        if (it == symbols.end()) {
-          it = symbols
-                   .emplace(pc,
-                            CleanFrameName(util::SymbolizeAddress(pc).name))
-                   .first;
-        }
-        line += ';';
-        line += it->second;
-      }
-      ++counts[line];
-    }
-  }
-  std::string out;
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "# ltee-profile hz=%d samples=%llu dropped=%llu "
-                "duration_s=%.3f req_samples=%llu\n",
-                g_hz, static_cast<unsigned long long>(samples),
-                static_cast<unsigned long long>(
-                    g_dropped.load(std::memory_order_relaxed)),
-                g_duration_s,
-                static_cast<unsigned long long>(request_samples));
-  out += header;
-  for (const auto& [line, count] : counts) {
-    out += line;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string CollapsedFrameName(const std::string& raw) {
-  return CleanFrameName(raw);
-}
-
-std::string CollapsedSpanName(const char* span) {
-  return CleanSpanName(span);
-}
-
-bool StartProfiler(const ProfilerOptions& options, std::string* error) {
-#if !LTEE_HAS_SIGPROF
-  if (error != nullptr) *error = "profiler unsupported on this platform";
-  return false;
-#else
-  if (!util::StackCaptureSupported()) {
-    if (error != nullptr) *error = "stack capture unsupported";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (g_session_open) {
-    if (error != nullptr) *error = "a profile capture is already active";
-    return false;
-  }
-  const int hz = std::clamp(options.hz, 1, 1000);
-  const size_t capacity = std::max<size_t>(options.ring_capacity, 64);
-  util::WarmUpStackCapture();
-  for (Shard& shard : g_shards) {
-    if (shard.capacity < capacity) {
-      // Grow-only: old arrays are leaked deliberately. Capture sessions
-      // are rare and a stray in-flight handler must never chase a freed
-      // pointer.
-      shard.slots = new RawSample[capacity];
-      shard.ready = new std::atomic<uint8_t>[capacity];
-      shard.capacity = capacity;
-    }
-    for (size_t i = 0; i < capacity; ++i) {
-      shard.ready[i].store(0, std::memory_order_relaxed);
-    }
-    shard.head.store(0, std::memory_order_relaxed);
-  }
-  g_ring_capacity.store(capacity, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
-  g_hz = hz;
-  g_duration_s = 0.0;
+bool CpuSession::Arm(uint64_t hz, std::string* error) {
+  rings.Allocate();
   util::trace::SetSpanTrackingEnabled(true);
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
+  struct sigaction sa {};
   sa.sa_sigaction = &ProfSignalHandler;
   sa.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&sa.sa_mask);
@@ -303,9 +92,8 @@ bool StartProfiler(const ProfilerOptions& options, std::string* error) {
     return false;
   }
   g_sampling.store(true, std::memory_order_release);
-  itimerval interval;
-  std::memset(&interval, 0, sizeof(interval));
-  const long usec = std::max(1000000L / hz, 1L);
+  itimerval interval{};
+  const long usec = std::max(1000000L / static_cast<long>(hz), 1L);
   interval.it_interval.tv_sec = usec / 1000000;
   interval.it_interval.tv_usec = usec % 1000000;
   interval.it_value = interval.it_interval;
@@ -316,102 +104,82 @@ bool StartProfiler(const ProfilerOptions& options, std::string* error) {
     if (error != nullptr) *error = "setitimer(ITIMER_PROF) failed";
     return false;
   }
-  g_started_at = std::chrono::steady_clock::now();
-  g_timer_armed = true;
-  g_session_open = true;
-  g_total_captures.fetch_add(1, std::memory_order_relaxed);
-  util::Metrics().GetCounter("ltee.profiler.captures").Increment();
-  return true;
-#endif
-}
-
-bool ProfilerActive() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_timer_armed;
-}
-
-void StopProfiler() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  StopLocked();
-}
-
-ProfileStats CurrentProfileStats() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  ProfileStats stats;
-  stats.samples = CollectedSampleCountLocked();
-  stats.dropped = g_dropped.load(std::memory_order_relaxed);
-  stats.hz = g_hz;
-  stats.duration_s =
-      g_timer_armed
-          ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          g_started_at)
-                .count()
-          : g_duration_s;
-  return stats;
-}
-
-ProfilerTotals GetProfilerTotals() {
-  ProfilerTotals totals;
-  totals.captures = g_total_captures.load(std::memory_order_relaxed);
-  totals.samples = g_total_samples.load(std::memory_order_relaxed);
-  totals.dropped = g_total_dropped.load(std::memory_order_relaxed);
-  return totals;
-}
-
-std::string CollectCollapsedProfile() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return CollectCollapsedLocked();
-}
-
-void ResetProfiler() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  ResetLocked();
-}
-
-bool CaptureProfile(double seconds, int hz, std::string* collapsed,
-                    std::string* error) {
-  ProfilerOptions options;
-  options.hz = hz;
-  if (!StartProfiler(options, error)) return false;
-  const double bounded = std::clamp(seconds, 0.01, 120.0);
-  std::this_thread::sleep_for(std::chrono::duration<double>(bounded));
-  std::lock_guard<std::mutex> lock(g_mu);
-  std::string profile = CollectCollapsedLocked();
-  ResetLocked();
-  if (collapsed != nullptr) *collapsed = std::move(profile);
   return true;
 }
 
-namespace {
+void CpuSession::Disarm() {
+  const itimerval disarm{};
+  ::setitimer(ITIMER_PROF, &disarm, nullptr);
+  g_sampling.store(false, std::memory_order_relaxed);
+  // Let any in-flight handler on another thread finish before restoring
+  // the old disposition (a handler takes microseconds; this is belt and
+  // braces, not synchronization the rings need).
+  ::usleep(2000);
+  ::sigaction(SIGPROF, &g_old_action, nullptr);
+  util::trace::SetSpanTrackingEnabled(false);
+}
 
-bool ParseHeaderLine(const std::string& line, ProfileAnalysis* out) {
-  if (line.rfind("# ltee-profile", 0) != 0) return false;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t eq = line.find('=', pos);
-    if (eq == std::string::npos) break;
-    size_t key_start = line.rfind(' ', eq);
-    key_start = key_start == std::string::npos ? pos : key_start + 1;
-    const std::string key = line.substr(key_start, eq - key_start);
-    size_t value_end = line.find(' ', eq + 1);
-    if (value_end == std::string::npos) value_end = line.size();
-    const std::string value = line.substr(eq + 1, value_end - eq - 1);
-    char* end = nullptr;
-    if (key == "hz") {
-      out->hz = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-    } else if (key == "samples") {
-      out->samples = std::strtoull(value.c_str(), &end, 10);
-    } else if (key == "dropped") {
-      out->dropped = std::strtoull(value.c_str(), &end, 10);
-    } else if (key == "duration_s") {
-      out->duration_s = std::strtod(value.c_str(), &end);
-    }
-    pos = value_end;
-  }
-  return true;
+#else  // !LTEE_HAS_SIGPROF
+
+bool CpuSession::Arm(uint64_t, std::string* error) {
+  if (error != nullptr) *error = "profiler unsupported on this platform";
+  return false;
+}
+
+void CpuSession::Disarm() {}
+
+#endif  // LTEE_HAS_SIGPROF
+
+std::string CpuSession::Export(const Stats& stats) {
+  sampling::CollapseWriter writer;
+  uint64_t samples = 0;
+  uint64_t request_samples = 0;
+  rings.ForEach([&](const RawSample& sample) {
+    ++samples;
+    if (sample.trace_id[0] != '\0') ++request_samples;
+    writer.Add(sample.span, sample.frames, sample.depth, 1);
+  });
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "# ltee-profile hz=%d samples=%llu dropped=%llu "
+                "duration_s=%.3f req_samples=%llu\n",
+                static_cast<int>(stats.rate),
+                static_cast<unsigned long long>(samples),
+                static_cast<unsigned long long>(stats.dropped),
+                stats.duration_s,
+                static_cast<unsigned long long>(request_samples));
+  std::string out = header;
+  writer.AppendTo(&out);
+  return out;
 }
 
 }  // namespace
+
+sampling::Session& sampling::CpuSampler() { return g_cpu; }
+
+bool StartProfiler(int hz, std::string* error) {
+  return g_cpu.Start(static_cast<uint64_t>(std::clamp(hz, 1, 1000)), error);
+}
+
+bool ProfilerActive() { return g_cpu.Armed(); }
+
+void StopProfiler() { g_cpu.Stop(); }
+
+ProfileStats CurrentProfileStats() {
+  const sampling::Session::Stats stats = g_cpu.CurrentStats();
+  return {stats.samples, stats.dropped, static_cast<int>(stats.rate),
+          stats.duration_s};
+}
+
+std::string CollectCollapsedProfile() { return g_cpu.Collect(); }
+
+void ResetProfiler() { g_cpu.Reset(); }
+
+bool CaptureProfile(double seconds, int hz, std::string* collapsed,
+                    std::string* error) {
+  return g_cpu.Capture(seconds, static_cast<uint64_t>(std::clamp(hz, 1, 1000)),
+                       collapsed, error);
+}
 
 bool ParseCollapsedProfile(const std::string& text, ProfileAnalysis* out,
                            std::string* error) {
@@ -430,7 +198,11 @@ bool ParseCollapsedProfile(const std::string& text, ProfileAnalysis* out,
     ++line_no;
     if (line.empty()) continue;
     if (line[0] == '#') {
-      ParseHeaderLine(line, out);
+      if (line.rfind("# ltee-profile", 0) != 0) continue;
+      sampling::ReadField(line, "hz", &out->hz);
+      sampling::ReadField(line, "samples", &out->samples);
+      sampling::ReadField(line, "dropped", &out->dropped);
+      sampling::ReadField(line, "duration_s", &out->duration_s);
       continue;
     }
     const size_t space = line.rfind(' ');
@@ -516,7 +288,7 @@ bool ParseCollapsedProfile(const std::string& text, ProfileAnalysis* out,
 std::string ProfileAnalysisToText(const ProfileAnalysis& analysis,
                                   size_t top_n) {
   std::string out;
-  char buf[256];
+  char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "Profile: %llu samples @ %d Hz over %.2f s (%llu dropped)\n",
                 static_cast<unsigned long long>(analysis.samples),
@@ -530,21 +302,23 @@ std::string ProfileAnalysisToText(const ProfileAnalysis& analysis,
   size_t shown = 0;
   for (const ProfileAnalysis::FrameStat& frame : analysis.frames) {
     if (shown++ >= top_n) break;
-    std::snprintf(buf, sizeof(buf), "  %6llu  %6llu  %5.1f%%  %s\n",
+    std::snprintf(buf, sizeof(buf), "  %6llu  %6llu  %5.1f%%  ",
                   static_cast<unsigned long long>(frame.self),
                   static_cast<unsigned long long>(frame.total),
-                  100.0 * static_cast<double>(frame.self) / denom,
-                  frame.name.c_str());
+                  100.0 * static_cast<double>(frame.self) / denom);
     out += buf;
+    out += frame.name;
+    out += '\n';
   }
   if (analysis.frames.empty()) out += "  (no samples)\n";
   out += "\nCPU by span:\n";
   out += "  SAMPLES    PCT   SPAN\n";
   for (const ProfileAnalysis::SpanStat& span : analysis.spans) {
-    std::snprintf(buf, sizeof(buf), "  %7llu  %5.1f%%  %s\n",
-                  static_cast<unsigned long long>(span.samples), span.pct,
-                  span.name.c_str());
+    std::snprintf(buf, sizeof(buf), "  %7llu  %5.1f%%  ",
+                  static_cast<unsigned long long>(span.samples), span.pct);
     out += buf;
+    out += span.name;
+    out += '\n';
   }
   if (analysis.spans.empty()) out += "  (no samples)\n";
   return out;

@@ -19,22 +19,14 @@ namespace ltee::obsv {
 /// The /profile endpoint and CaptureProfile serialize on that — a second
 /// concurrent capture is refused, never queued.
 
-struct ProfilerOptions {
-  /// Samples per second of process CPU time. Clamped to [1, 1000].
-  int hz = 99;
-  /// Capacity of each of the per-thread-shard sample rings. A shard that
-  /// fills up counts further samples as dropped — the handler never
-  /// blocks and never reallocates. The default holds ~2.5 minutes of
-  /// 99 Hz samples per shard (~60 MB across all shards, allocated only
-  /// when profiling starts).
-  size_t ring_capacity = 16384;
-};
-
-/// Arms the SIGPROF handler and interval timer. Also turns on
+/// Arms the SIGPROF handler and interval timer at `hz` samples per
+/// second of process CPU time (clamped to [1, 1000]). Also turns on
 /// util::trace span tracking for the duration so samples carry span
-/// names. Returns false (with `error`) when a capture is already active
-/// or the platform lacks stack-capture support.
-bool StartProfiler(const ProfilerOptions& options, std::string* error);
+/// names. Each of the 8 tid-sharded rings holds 16384 samples (~2.5
+/// minutes at 99 Hz); a full ring counts further samples as dropped.
+/// Returns false (with `error`) when a capture is already active or the
+/// platform lacks stack-capture support.
+bool StartProfiler(int hz, std::string* error);
 
 /// True between a successful StartProfiler and the matching StopProfiler.
 bool ProfilerActive();
@@ -52,14 +44,6 @@ struct ProfileStats {
   double duration_s = 0.0;
 };
 ProfileStats CurrentProfileStats();
-
-/// Cumulative across all captures in this process (feeds /stats).
-struct ProfilerTotals {
-  uint64_t captures = 0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-};
-ProfilerTotals GetProfilerTotals();
 
 /// Symbolizes and aggregates the collected samples into collapsed-stack
 /// text: `# ltee-profile hz=.. samples=.. dropped=.. duration_s=..`
@@ -125,13 +109,6 @@ std::string ProfileAnalysisToText(const ProfileAnalysis& analysis,
 /// "spans":[{name,samples,pct}]}.
 std::string ProfileAnalysisToJson(const ProfileAnalysis& analysis,
                                   size_t top_n = 20);
-
-/// Collapsed-format escaping shared by every profile exporter (CPU and
-/// heap): strips the parameter list from demangled C++ names (keeping
-/// "operator()"'s parens) and replaces the two reserved characters —
-/// ';' separates frames, ' ' separates the trailing count.
-std::string CollapsedFrameName(const std::string& raw);
-std::string CollapsedSpanName(const char* span);
 
 }  // namespace ltee::obsv
 

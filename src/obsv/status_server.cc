@@ -2,8 +2,7 @@
 
 #include <cstdlib>
 
-#include "obsv/memtrack.h"
-#include "obsv/profiler.h"
+#include "obsv/sampling_core.h"
 #include "obsv/telemetry.h"
 #include "prov/explain.h"
 #include "util/metrics.h"
@@ -11,6 +10,74 @@
 #include "util/trace.h"
 
 namespace ltee::obsv {
+
+namespace {
+
+/// A bounded on-demand capture endpoint: a worker thread samples the
+/// whole process for `seconds`, then streams the collapsed stacks. One
+/// capture per sampler at a time; a concurrent caller gets 503 and
+/// retries, it is never queued behind a foreign capture.
+struct CaptureEndpoint {
+  const char* path;
+  /// The integer query parameter that sets the rate, and its range.
+  const char* rate_param;
+  long default_rate;
+  long max_rate;
+  /// Session rate per unit of the parameter.
+  uint64_t rate_unit;
+  sampling::Session& (*sampler)();
+};
+
+constexpr CaptureEndpoint kCaptureEndpoints[] = {
+    {"/profile", "hz", 99, 1000, 1, &sampling::CpuSampler},
+    // One sample per `sample_kb` allocated kilobytes per thread.
+    {"/memory", "sample_kb", 64, 65536, 1024, &sampling::HeapSampler},
+};
+
+HttpResponse ServeCapture(const CaptureEndpoint& endpoint,
+                          const HttpRequest& request) {
+  HttpResponse response;
+  double seconds = 1.0;
+  long rate = endpoint.default_rate;
+  const std::string seconds_param = QueryParam(request.query, "seconds");
+  if (!seconds_param.empty()) {
+    char* end = nullptr;
+    seconds = std::strtod(seconds_param.c_str(), &end);
+    if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
+        seconds > 30.0) {
+      response.status = 400;
+      response.body = "seconds must be a number in (0, 30]\n";
+      return response;
+    }
+  }
+  const std::string rate_param = QueryParam(request.query, endpoint.rate_param);
+  if (!rate_param.empty()) {
+    char* end = nullptr;
+    rate = std::strtol(rate_param.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || rate < 1 ||
+        rate > endpoint.max_rate) {
+      response.status = 400;
+      response.body = std::string(endpoint.rate_param) +
+                      " must be an integer in [1, " +
+                      std::to_string(endpoint.max_rate) + "]\n";
+      return response;
+    }
+  }
+  std::string collapsed;
+  std::string error;
+  if (!endpoint.sampler().Capture(seconds,
+                                  static_cast<uint64_t>(rate) * endpoint.rate_unit,
+                                  &collapsed, &error)) {
+    response.status = 503;
+    response.body = error + "\n";
+    return response;
+  }
+  response.content_type = "text/plain; charset=utf-8";
+  response.body = std::move(collapsed);
+  return response;
+}
+
+}  // namespace
 
 StatusServer::StatusServer(size_t num_workers) : server_(num_workers) {
   server_.Handle("/healthz", [](const HttpRequest&) {
@@ -36,88 +103,11 @@ StatusServer::StatusServer(size_t num_workers) : server_(num_workers) {
     response.body = util::trace::ExportChromeTrace();
     return response;
   });
-  server_.Handle("/profile", [](const HttpRequest& request) {
-    HttpResponse response;
-    // Bounded on-demand capture: a worker thread profiles the whole
-    // process for `seconds`, then streams the collapsed stacks.
-    // Concurrent captures are capped at one — the second caller gets 503
-    // and retries, it is never queued behind a foreign capture.
-    double seconds = 1.0;
-    int hz = 99;
-    const std::string seconds_param = QueryParam(request.query, "seconds");
-    if (!seconds_param.empty()) {
-      char* end = nullptr;
-      seconds = std::strtod(seconds_param.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
-          seconds > 30.0) {
-        response.status = 400;
-        response.body = "seconds must be a number in (0, 30]\n";
-        return response;
-      }
-    }
-    const std::string hz_param = QueryParam(request.query, "hz");
-    if (!hz_param.empty()) {
-      char* end = nullptr;
-      const long parsed = std::strtol(hz_param.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 1000) {
-        response.status = 400;
-        response.body = "hz must be an integer in [1, 1000]\n";
-        return response;
-      }
-      hz = static_cast<int>(parsed);
-    }
-    std::string collapsed;
-    std::string error;
-    if (!CaptureProfile(seconds, hz, &collapsed, &error)) {
-      response.status = 503;
-      response.body = error + "\n";
-      return response;
-    }
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = std::move(collapsed);
-    return response;
-  });
-  server_.Handle("/memory", [](const HttpRequest& request) {
-    HttpResponse response;
-    // Heap twin of /profile: sample allocation stacks for `seconds`,
-    // one sample per `sample_kb` allocated kilobytes per thread, then
-    // stream the collapsed heap profile. One capture at a time; a
-    // concurrent caller gets 503, never queued.
-    double seconds = 1.0;
-    size_t sample_kb = 64;
-    const std::string seconds_param = QueryParam(request.query, "seconds");
-    if (!seconds_param.empty()) {
-      char* end = nullptr;
-      seconds = std::strtod(seconds_param.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0.0) ||
-          seconds > 30.0) {
-        response.status = 400;
-        response.body = "seconds must be a number in (0, 30]\n";
-        return response;
-      }
-    }
-    const std::string sample_param = QueryParam(request.query, "sample_kb");
-    if (!sample_param.empty()) {
-      char* end = nullptr;
-      const long parsed = std::strtol(sample_param.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 65536) {
-        response.status = 400;
-        response.body = "sample_kb must be an integer in [1, 65536]\n";
-        return response;
-      }
-      sample_kb = static_cast<size_t>(parsed);
-    }
-    std::string collapsed;
-    std::string error;
-    if (!CaptureHeapProfile(seconds, sample_kb, &collapsed, &error)) {
-      response.status = 503;
-      response.body = error + "\n";
-      return response;
-    }
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = std::move(collapsed);
-    return response;
-  });
+  for (const CaptureEndpoint& endpoint : kCaptureEndpoints) {
+    server_.Handle(endpoint.path, [&endpoint](const HttpRequest& request) {
+      return ServeCapture(endpoint, request);
+    });
+  }
   server_.Handle("/report", [this](const HttpRequest&) {
     HttpResponse response;
     std::lock_guard<std::mutex> lock(report_mu_);

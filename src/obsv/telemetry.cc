@@ -2,7 +2,7 @@
 
 #include "obsv/access_log.h"
 #include "obsv/memtrack.h"
-#include "obsv/profiler.h"
+#include "obsv/sampling_core.h"
 #include "util/json.h"
 
 namespace ltee::obsv {
@@ -26,6 +26,16 @@ double GaugeOr(const util::MetricsSnapshot& snap, std::string_view name,
     if (gauge_name == name) return value;
   }
   return fallback;
+}
+
+/// `{"active":..,"captures":..,"samples":..,"dropped":..}` of a sampler.
+void AppendSampler(std::string* out, sampling::Session& sampler) {
+  const sampling::Session::Totals totals = sampler.Lifetime();
+  *out += "{\"active\":";
+  *out += sampler.Armed() ? "true" : "false";
+  *out += ",\"captures\":" + std::to_string(totals.captures);
+  *out += ",\"samples\":" + std::to_string(totals.samples);
+  *out += ",\"dropped\":" + std::to_string(totals.dropped) + "}";
 }
 
 }  // namespace
@@ -87,18 +97,10 @@ std::string RenderStatsJson(int64_t in_flight) {
   out += std::to_string(access_log.slow_count());
   out += ",\"slow_threshold_ms\":";
   util::AppendJsonNumber(&out, access_log.slow_threshold_ms());
-  const ProfilerTotals profiler = GetProfilerTotals();
-  out += "},\"profiler\":{\"active\":";
-  out += ProfilerActive() ? "true" : "false";
-  out += ",\"captures\":";
-  out += std::to_string(profiler.captures);
-  out += ",\"samples\":";
-  out += std::to_string(profiler.samples);
-  out += ",\"dropped\":";
-  out += std::to_string(profiler.dropped);
+  out += "},\"profiler\":";
+  AppendSampler(&out, sampling::CpuSampler());
   const MemtrackTotals mem = GetMemtrackTotals();
-  const MemtrackCaptureTotals heap = GetMemtrackCaptureTotals();
-  out += "},\"memory\":{\"tracking\":";
+  out += ",\"memory\":{\"tracking\":";
   out += MemTrackingEnabled() ? "true" : "false";
   out += ",\"span_accounting\":";
   out += SpanAccountingEnabled() ? "true" : "false";
@@ -112,15 +114,9 @@ std::string RenderStatsJson(int64_t in_flight) {
   out += std::to_string(mem.cum_bytes);
   out += ",\"peak_rss_kb\":";
   out += std::to_string(ReadPeakRssBytes() / 1024);
-  out += ",\"heap_profiler\":{\"active\":";
-  out += HeapProfilerActive() ? "true" : "false";
-  out += ",\"captures\":";
-  out += std::to_string(heap.captures);
-  out += ",\"samples\":";
-  out += std::to_string(heap.samples);
-  out += ",\"dropped\":";
-  out += std::to_string(heap.dropped);
-  out += "}}}";
+  out += ",\"heap_profiler\":";
+  AppendSampler(&out, sampling::HeapSampler());
+  out += "}}";
   return out;
 }
 

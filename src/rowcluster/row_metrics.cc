@@ -111,27 +111,13 @@ double RowMetricBank::LabelSimilarity(int i, int j) const {
   }
   const std::vector<uint32_t>& ta = label_local_[i];
   const std::vector<uint32_t>& tb = label_local_[j];
-  // Mirrors MongeElkanDirectedIds in util/similarity.cc: same loop order,
-  // same early-out on equal tokens, same accumulation — the doubles match
-  // the dict-resolving implementation bit for bit.
-  auto directed = [this](const std::vector<uint32_t>& x,
-                         const std::vector<uint32_t>& y) -> double {
-    if (x.empty()) return y.empty() ? 1.0 : 0.0;
-    double sum = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) {
-      double best = 0.0;
-      for (size_t j = 0; j < y.size(); ++j) {
-        if (x[i] == y[j]) {
-          best = 1.0;
-          break;
-        }
-        best = std::max(best, token_sim_[x[i] * vocab_ + y[j]]);
-      }
-      sum += best;
-    }
-    return sum / static_cast<double>(x.size());
-  };
-  return std::max(directed(ta, tb), directed(tb, ta));
+  // The loop util::MongeElkanLevenshtein runs, with the inner similarity
+  // read from the symmetric precomputed matrix: the doubles match the
+  // dict-resolving implementation bit for bit.
+  return util::MongeElkan(
+      ta.size(), tb.size(),
+      [&](size_t x, size_t y) { return ta[x] == tb[y]; },
+      [&](size_t x, size_t y) { return token_sim_[ta[x] * vocab_ + tb[y]]; });
 }
 
 std::vector<std::string> RowMetricBank::EnabledNames() const {

@@ -1,6 +1,8 @@
 #ifndef LTEE_UTIL_SIMILARITY_H_
 #define LTEE_UTIL_SIMILARITY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,6 +31,43 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 /// identical to the string overload on the same token sets.
 double JaccardSimilarity(std::span<const uint32_t> a_sorted,
                          std::span<const uint32_t> b_sorted);
+
+/// The Monge-Elkan loop every LABEL similarity shares: ME(x, y) is the
+/// mean over the `nx` tokens of x of their best inner similarity against
+/// the `ny` tokens of y (1 when both are empty, 0 when only y is).
+/// `same(i, j)` says token i of x equals token j of y; the pair then
+/// scores 1.0, the maximum, without calling `sim(i, j)`, the inner
+/// similarity in [0, 1].
+template <typename Same, typename Sim>
+inline double MongeElkanDirected(size_t nx, size_t ny, const Same& same,
+                                 const Sim& sim) {
+  if (nx == 0) return ny == 0 ? 1.0 : 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < nx; ++i) {
+    double best = 0.0;
+    for (size_t j = 0; j < ny; ++j) {
+      if (same(i, j)) {
+        best = 1.0;
+        break;
+      }
+      best = std::max(best, sim(i, j));
+    }
+    sum += best;
+  }
+  return sum / static_cast<double>(nx);
+}
+
+/// max(ME(a, b), ME(b, a)) with `same` and `sim` indexed (token of a,
+/// token of b) in both directions, so `sim` must be symmetric.
+template <typename Same, typename Sim>
+inline double MongeElkan(size_t na, size_t nb, const Same& same,
+                         const Sim& sim) {
+  return std::max(
+      MongeElkanDirected(na, nb, same, sim),
+      MongeElkanDirected(
+          nb, na, [&](size_t j, size_t i) { return same(i, j); },
+          [&](size_t j, size_t i) { return sim(i, j); }));
+}
 
 /// Monge-Elkan similarity with Levenshtein as the inner similarity
 /// function, as used by the paper's LABEL metrics: the mean over tokens of

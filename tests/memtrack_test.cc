@@ -159,10 +159,9 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::HeapProfilerOptions options;
-  options.sample_bytes = 1024;  // sample every allocation in the test
+  const size_t sample_bytes = 1024;  // sample every allocation in the test
   std::string error;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(sample_bytes, &error)) << error;
   EXPECT_TRUE(obsv::HeapProfilerActive());
   EXPECT_TRUE(obsv::MemTrackingEnabled());
 
@@ -180,7 +179,7 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
 
   // The session stays owned through Stop and Collect; no second start.
   const std::string collapsed = obsv::CollectCollapsedHeapProfile();
-  EXPECT_FALSE(obsv::StartHeapProfiler(options, &error));
+  EXPECT_FALSE(obsv::StartHeapProfiler(sample_bytes, &error));
   EXPECT_FALSE(error.empty());
 
   EXPECT_EQ(collapsed.rfind("# ltee-profile ", 0), 0u);
@@ -211,7 +210,7 @@ TEST(HeapProfiler, SampledCollectRoundTripAndReset) {
   // Reset closes the session: stats clear and a new capture can start.
   obsv::ResetHeapProfiler();
   EXPECT_EQ(obsv::CurrentHeapProfileStats().samples, 0u);
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(sample_bytes, &error)) << error;
   obsv::StopHeapProfiler();
   obsv::ResetHeapProfiler();
   EXPECT_FALSE(obsv::MemTrackingEnabled());
@@ -224,9 +223,8 @@ TEST(HeapProfiler, BoundedCaptureIsExclusiveWhileSessionOpen) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::HeapProfilerOptions options;
   std::string error;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(64 * 1024, &error)) << error;
   std::string collapsed;
   EXPECT_FALSE(obsv::CaptureHeapProfile(0.05, 64, &collapsed, &error));
   obsv::StopHeapProfiler();
@@ -270,8 +268,7 @@ TEST(MemoryEndpoint, ValidatesParametersAndServesCaptures) {
 
   // While a heap session is open elsewhere the endpoint answers 503
   // (busy), never queues.
-  obsv::HeapProfilerOptions options;
-  ASSERT_TRUE(obsv::StartHeapProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(64 * 1024, &error)) << error;
   ASSERT_TRUE(obsv::HttpGet(server.port(), "/memory?seconds=0.1", &status,
                             &body, &error))
       << error;
@@ -351,6 +348,98 @@ TEST(HeapAnalysis, ParsesHeaderAndRendersTextAndJson) {
   obsv::HeapProfileHeader cpu_header;
   EXPECT_FALSE(obsv::ParseHeapProfileHeader(
       "# ltee-profile hz=99 samples=10\nspan:a;main 10\n", &cpu_header));
+
+  // Demangled site names run to hundreds of characters; a row keeps its
+  // name whole, and the JSON string stays terminated.
+  const std::string long_name =
+      "std::__detail::_Map_base<" + std::string(270, 'k') + ">::at";
+  ASSERT_EQ(long_name.size(), 300u);
+  const std::string long_text =
+      "# ltee-profile heap=1 sample_kb=64 samples=1 dropped=0 "
+      "duration_s=0.100 live_bytes=1024 live_allocs=1 peak_rss_kb=1\n"
+      "# ltee-memtrack-span alpha live=1024 cum=1024 allocs=1\n"
+      "span:alpha;main;" +
+      long_name + " 1024\n";
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(long_text, &analysis, &error))
+      << error;
+  ASSERT_TRUE(obsv::ParseHeapProfileHeader(long_text, &header));
+  const std::string long_json = obsv::HeapAnalysisToJson(analysis, header);
+  EXPECT_TRUE(util::JsonIsValid(long_json, &error)) << error;
+  EXPECT_NE(long_json.find(long_name), std::string::npos);
+  EXPECT_NE(obsv::HeapAnalysisToText(analysis, header).find(long_name + "\n"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The sampling core both profilers share: fixed rings that count drops,
+// and one independent session per sampler.
+
+TEST(SamplingCore, FullRingCountsFurtherSamplesAsDropped) {
+  if (!obsv::MemTrackingSupported()) {
+    GTEST_SKIP() << "allocator interposition compiled out";
+  }
+  if (!util::StackCaptureSupported()) {
+    GTEST_SKIP() << "no backtrace/dladdr on this platform";
+  }
+  std::string error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(1, &error)) << error;
+  // Every allocation is sampled, and all of these land in this thread's
+  // ring of 16384 slots.
+  std::vector<std::unique_ptr<char[]>> blocks = AllocateBlocks(20000, 16);
+  obsv::StopHeapProfiler();
+
+  const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
+  EXPECT_GE(stats.samples, 16384u);
+  EXPECT_GE(stats.dropped, 20000u - 16384u);
+  obsv::ProfileAnalysis analysis;
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(obsv::CollectCollapsedHeapProfile(),
+                                          &analysis, &error))
+      << error;
+  EXPECT_GE(analysis.samples, 16384u);
+  EXPECT_GE(analysis.dropped, 20000u - 16384u);
+  obsv::ResetHeapProfiler();
+  EXPECT_EQ(obsv::CurrentHeapProfileStats().dropped, 0u);
+}
+
+TEST(SamplingCore, CpuAndHeapSessionsAreIndependent) {
+  if (!obsv::MemTrackingSupported()) {
+    GTEST_SKIP() << "allocator interposition compiled out";
+  }
+  if (!util::StackCaptureSupported()) {
+    GTEST_SKIP() << "no backtrace/dladdr on this platform";
+  }
+  std::string error;
+  ASSERT_TRUE(obsv::StartProfiler(499, &error)) << error;
+  ASSERT_TRUE(obsv::StartHeapProfiler(1024, &error)) << error;
+  std::vector<std::unique_ptr<char[]>> blocks;
+  {
+    util::trace::ScopedSpan span("memtest.both_sessions");
+    blocks = AllocateBlocks(64, 4 * 1024);
+  }
+
+  // Collecting and resetting the CPU session leaves the heap one open
+  // and still sampling.
+  obsv::StopProfiler();
+  obsv::ProfileAnalysis cpu;
+  ASSERT_TRUE(
+      obsv::ParseCollapsedProfile(obsv::CollectCollapsedProfile(), &cpu, &error))
+      << error;
+  EXPECT_EQ(cpu.hz, 499);
+  obsv::ResetProfiler();
+  EXPECT_FALSE(obsv::ProfilerActive());
+  EXPECT_TRUE(obsv::HeapProfilerActive());
+  EXPECT_FALSE(obsv::StartHeapProfiler(1024, &error));
+
+  obsv::StopHeapProfiler();
+  const std::string heap = obsv::CollectCollapsedHeapProfile();
+  obsv::ResetHeapProfiler();
+  obsv::HeapProfileHeader header;
+  ASSERT_TRUE(obsv::ParseHeapProfileHeader(heap, &header));
+  EXPECT_EQ(header.sample_kb, 1u);
+  obsv::ProfileAnalysis analysis;
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(heap, &analysis, &error)) << error;
+  EXPECT_GE(analysis.samples, 64u);
+  EXPECT_NE(heap.find("span:memtest.both_sessions;"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -86,10 +86,8 @@ TEST(Profiler, CaptureAttributesSamplesToOpenSpans) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::ProfilerOptions options;
-  options.hz = 499;
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartProfiler(499, &error)) << error;
   EXPECT_TRUE(obsv::ProfilerActive());
   EXPECT_TRUE(util::trace::IsSpanTrackingEnabled());
   {
@@ -130,11 +128,10 @@ TEST(Profiler, SecondConcurrentCaptureIsRefusedUntilReset) {
   if (!util::StackCaptureSupported()) {
     GTEST_SKIP() << "no backtrace/dladdr on this platform";
   }
-  obsv::ProfilerOptions options;
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartProfiler(99, &error)) << error;
   // The session is exclusive: no second start, no bounded capture.
-  EXPECT_FALSE(obsv::StartProfiler(options, &error));
+  EXPECT_FALSE(obsv::StartProfiler(99, &error));
   EXPECT_FALSE(error.empty());
   std::string collapsed;
   EXPECT_FALSE(obsv::CaptureProfile(0.05, 99, &collapsed, &error));
@@ -217,6 +214,20 @@ TEST(Profiler, AnalysisRendersValidJsonAndText) {
   const std::string report = obsv::ProfileAnalysisToText(analysis);
   EXPECT_NE(report.find("hot"), std::string::npos);
   EXPECT_NE(report.find("alpha"), std::string::npos);
+
+  // Demangled frame names run to hundreds of characters; a row keeps
+  // its name whole and still ends in a newline.
+  const std::string long_name =
+      "std::__detail::_Map_base<" + std::string(270, 'k') + ">::at";
+  ASSERT_EQ(long_name.size(), 300u);
+  ASSERT_TRUE(obsv::ParseCollapsedProfile(
+      "span:alpha;main;" + long_name + " 2\n", &analysis, &error))
+      << error;
+  const std::string long_json = obsv::ProfileAnalysisToJson(analysis);
+  EXPECT_TRUE(util::JsonIsValid(long_json, &error)) << error;
+  EXPECT_NE(long_json.find(long_name), std::string::npos);
+  EXPECT_NE(obsv::ProfileAnalysisToText(analysis).find(long_name + "\n"),
+            std::string::npos);
 }
 
 TEST(ProfileEndpoint, ValidatesParametersAndSerializesCaptures) {
@@ -238,8 +249,7 @@ TEST(ProfileEndpoint, ValidatesParametersAndSerializesCaptures) {
   if (util::StackCaptureSupported()) {
     // While a capture session is open elsewhere the endpoint answers 503
     // (busy), never queues.
-    obsv::ProfilerOptions options;
-    ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+    ASSERT_TRUE(obsv::StartProfiler(99, &error)) << error;
     ASSERT_TRUE(obsv::HttpGet(server.port(), "/profile?seconds=0.1",
                               &status, &body, &error))
         << error;
@@ -284,10 +294,8 @@ TEST(ProfilerTraceConsistency, SpanAttributionAgreesWithChromeTrace) {
 
   util::trace::Clear();
   util::trace::SetEnabled(true);
-  obsv::ProfilerOptions options;
-  options.hz = 499;
   std::string error;
-  ASSERT_TRUE(obsv::StartProfiler(options, &error)) << error;
+  ASSERT_TRUE(obsv::StartProfiler(499, &error)) << error;
 
   pipeline::PipelineOptions pipe_options;
   pipeline::LteePipeline pipe(ds.kb, pipe_options);

@@ -9,6 +9,8 @@
 #include "rowcluster/row_features.h"
 #include "rowcluster/row_metrics.h"
 #include "test_dataset.h"
+#include "util/similarity.h"
+#include "util/token_dictionary.h"
 
 namespace ltee::rowcluster {
 namespace {
@@ -137,6 +139,33 @@ TEST(RowMetricsTest, LabelMetricReflectsLabelEquality) {
   }
   ASSERT_GE(a, 0) << "no duplicate labels in gold rows";
   EXPECT_DOUBLE_EQ(bank.Compare(a, b).sims[0], 1.0);
+}
+
+TEST(RowMetricsTest, LabelMetricEqualsMongeElkanOnEveryPair) {
+  // The bank's precomputed LABEL path and both util overloads run one
+  // Monge-Elkan loop, so they agree exactly, not just approximately.
+  const auto& state = SharedGoldRows();
+  const auto& rows = state.rows.rows;
+  const util::TokenDictionary& dict = *state.rows.dict;
+  RowMetricBank bank(state.rows, FirstKMetrics(1));
+  std::vector<std::vector<std::string>> strings(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t id : rows[i].label_tokens) {
+      strings[i].emplace_back(dict.token(id));
+    }
+  }
+  ASSERT_GT(rows.size(), 1u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < rows.size(); ++j) {
+      const double expected = util::MongeElkanLevenshtein(
+          rows[i].label_tokens, rows[j].label_tokens, dict);
+      ASSERT_EQ(bank.Compare(static_cast<int>(i), static_cast<int>(j)).sims[0],
+                expected)
+          << i << " vs " << j;
+      ASSERT_EQ(util::MongeElkanLevenshtein(strings[i], strings[j]), expected)
+          << i << " vs " << j;
+    }
+  }
 }
 
 TEST(RowMetricsTest, SameTableMetricIsZeroWithinTable) {

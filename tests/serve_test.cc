@@ -4,9 +4,10 @@
 // rejection), the query engine (JSON rendering, result cache, version
 // keying), the sharded LRU cache, the regression-gate units behind
 // report_diff (ms_p95 latency percentiles, ops_s throughput), the /kb/*
-// HTTP endpoints over a real socket, and the RCU snapshot swap under
-// concurrent readers.
+// HTTP endpoints over a real socket, the RCU snapshot swap under
+// concurrent readers, and `ltee_cli serve`'s clean SIGTERM shutdown.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,14 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -942,6 +951,84 @@ TEST(QueryEngine, AtomicSnapshotSwapUnderConcurrentReaders) {
   EXPECT_NE(final_info.body.find("\"snapshot_version\":" +
                                  std::to_string(kVersions)),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// `ltee_cli serve` shutdown
+
+/// A loopback TCP port that was free a moment ago (bound, then released).
+uint16_t FreeLoopbackPort() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  uint16_t port = 0;
+  if (fd >= 0 &&
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    port = ntohs(addr.sin_port);
+  }
+  if (fd >= 0) ::close(fd);
+  return port;
+}
+
+TEST(ServeCli, SigtermWhileReadinessLineBlocksStopsCleanly) {
+  const std::string snapshot = TempPath("serve_sigterm.bin");
+  std::string error;
+  ASSERT_TRUE(serve::SaveSnapshotFile(MakeKb(), 1, snapshot, &error)) << error;
+  const uint16_t port = FreeLoopbackPort();
+  ASSERT_NE(port, 0);
+
+  // stdout is a pipe that is already full, so the readiness line's flush
+  // blocks until the pipe drains: the window in which a supervisor that
+  // saw /healthz answer sends its SIGTERM.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::fcntl(fds[1], F_SETFL, O_NONBLOCK);
+  size_t filled = 0;
+  const char byte = 'x';
+  while (::write(fds[1], &byte, 1) == 1) ++filled;
+  ::fcntl(fds[1], F_SETFL, 0);
+
+  const std::string port_arg = std::to_string(port);
+  const char* argv[] = {LTEE_CLI_PATH, "serve",         "--snapshot",
+                        snapshot.c_str(), "--port",      port_arg.c_str(),
+                        nullptr};
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv(argv[0], const_cast<char* const*>(argv));
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  bool ready = false;
+  for (int attempt = 0; attempt < 200 && !ready; ++attempt) {
+    int status = 0;
+    std::string body;
+    ready = obsv::HttpGet(port, "/healthz", &status, &body, &error) &&
+            status == 200;
+    if (!ready) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ::kill(pid, SIGTERM);
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof(buf))) > 0;) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[0]);
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+  std::remove(snapshot.c_str());
+
+  ASSERT_TRUE(ready) << "ltee_cli serve never answered /healthz";
+  EXPECT_TRUE(WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0)
+      << "wait status " << wait_status;
+  EXPECT_NE(out.find("kb service stopped", filled), std::string::npos)
+      << out.substr(std::min(filled, out.size()));
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -49,6 +50,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "eval/gold_serialization.h"
@@ -86,18 +88,26 @@ namespace {
 
 using namespace ltee;
 
+/// The flags that take no value: the CLI reads them only through
+/// `flags.count`, so the argument after one is never its value.
+constexpr std::string_view kSwitches[] = {
+    "dedup", "expect-json", "first", "json", "memtrack", "show-traceparent",
+    "watch"};
+
+/// True when argv[i], a `--flag`, takes the next argument as its value.
+bool TakesValue(int argc, char** argv, int i) {
+  return i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0 &&
+         std::find(std::begin(kSwitches), std::end(kSwitches),
+                   argv[i] + 2) == std::end(kSwitches);
+}
+
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
                                               int first) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = std::string("1");
-    }
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string key = argv[i] + 2;
+    flags[key] = TakesValue(argc, argv, i) ? argv[++i] : "1";
   }
   return flags;
 }
@@ -106,13 +116,23 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
 /// value, following the same pairing rule as ParseFlags.
 std::string FirstPositional(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) ++i;
-      continue;
-    }
-    return argv[i];
+    if (std::strncmp(argv[i], "--", 2) != 0) return argv[i];
+    if (TakesValue(argc, argv, i)) ++i;
   }
   return "";
+}
+
+/// Reads a whole input file, or says it cannot.
+bool ReadInput(const std::string& path, std::string* content) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *content = buffer.str();
+  return true;
 }
 
 /// Closes an output file through util::CloseOutputFile, the check every
@@ -312,6 +332,23 @@ int Stats(const std::map<std::string, std::string>& flags) {
   return Usage();
 }
 
+/// Reports a sampler `run` could not start; returns the exit status.
+int CannotStart(const char* sampler, const std::string& error) {
+  std::fprintf(stderr, "cannot start %s: %s\n", sampler, error.c_str());
+  return 1;
+}
+
+/// Writes a stopped sampler's collapsed profile to `path`, then resets
+/// the sampler.
+bool ExportSamples(const std::string& path, std::string (*collect)(),
+                   void (*reset)()) {
+  if (!WriteOutput(path, [collect](std::ostream& out) { out << collect(); })) {
+    return false;
+  }
+  reset();
+  return true;
+}
+
 int Run(const std::map<std::string, std::string>& flags) {
   // --trace-out implies tracing on (LTEE_TRACE=1 enables it without a
   // flag; the export then has to be requested explicitly).
@@ -419,32 +456,25 @@ int Run(const std::map<std::string, std::string>& flags) {
   if (auto it = flags.find("seed"); it != flags.end()) {
     seed = std::strtoull(it->second.c_str(), nullptr, 10);
   }
-  // Sample from training through changeset apply — the CPU the pipeline
-  // itself burns, excluding dataset synthesis and file exports.
+  // Sample from training through changeset apply — the CPU and the
+  // allocations of the pipeline itself, excluding dataset synthesis and
+  // file exports.
   if (want_profile) {
-    obsv::ProfilerOptions profiler_options;
-    if (auto it = flags.find("profile-hz"); it != flags.end()) {
-      profiler_options.hz = std::atoi(it->second.c_str());
-    }
+    const auto hz = flags.find("profile-hz");
     std::string error;
-    if (!obsv::StartProfiler(profiler_options, &error)) {
-      std::fprintf(stderr, "cannot start profiler: %s\n", error.c_str());
-      return 1;
+    if (!obsv::StartProfiler(
+            hz != flags.end() ? std::atoi(hz->second.c_str()) : 99, &error)) {
+      return CannotStart("profiler", error);
     }
   }
-  // Same window for the heap profiler: allocation stacks from training
-  // through changeset apply.
   if (want_heap) {
-    obsv::HeapProfilerOptions heap_options;
-    if (auto it = flags.find("heap-sample-kb"); it != flags.end()) {
-      heap_options.sample_bytes =
-          static_cast<size_t>(std::atoll(it->second.c_str())) * 1024;
-    }
+    const auto kb = flags.find("heap-sample-kb");
+    const long long sample_kb =
+        kb != flags.end() ? std::atoll(kb->second.c_str()) : 64;
     std::string error;
-    if (!obsv::StartHeapProfiler(heap_options, &error)) {
-      std::fprintf(stderr, "cannot start heap profiler: %s\n",
-                   error.c_str());
-      return 1;
+    if (!obsv::StartHeapProfiler(static_cast<size_t>(sample_kb) * 1024,
+                                 &error)) {
+      return CannotStart("heap profiler", error);
     }
   }
 
@@ -637,34 +667,30 @@ int Run(const std::map<std::string, std::string>& flags) {
   }
   if (want_profile) {
     const std::string& path = flags.at("profile-out");
-    if (!WriteOutput(path, [](std::ostream& out) {
-          out << obsv::CollectCollapsedProfile();
-        })) {
+    const obsv::ProfileStats stats = obsv::CurrentProfileStats();
+    if (!ExportSamples(path, &obsv::CollectCollapsedProfile,
+                       &obsv::ResetProfiler)) {
       return 1;
     }
-    const obsv::ProfileStats stats = obsv::CurrentProfileStats();
     std::printf(
         "profile written to %s (%llu samples @ %d Hz, %llu dropped; "
         "feed to flamegraph.pl or ltee_cli analyze-profile)\n",
         path.c_str(), static_cast<unsigned long long>(stats.samples),
         stats.hz, static_cast<unsigned long long>(stats.dropped));
-    obsv::ResetProfiler();
   }
   if (want_heap) {
     const std::string& path = flags.at("heap-profile-out");
-    if (!WriteOutput(path, [](std::ostream& out) {
-          out << obsv::CollectCollapsedHeapProfile();
-        })) {
+    const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
+    if (!ExportSamples(path, &obsv::CollectCollapsedHeapProfile,
+                       &obsv::ResetHeapProfiler)) {
       return 1;
     }
-    const obsv::HeapProfileStats stats = obsv::CurrentHeapProfileStats();
     std::printf(
         "heap profile written to %s (%llu sampled allocations, ~1 per "
         "%zu KB, %llu dropped; feed to flamegraph.pl or ltee_cli "
         "analyze-memory)\n",
         path.c_str(), static_cast<unsigned long long>(stats.samples),
         stats.sample_kb, static_cast<unsigned long long>(stats.dropped));
-    obsv::ResetHeapProfiler();
   }
   obsv::DisarmCrashFlush();
   if (status_server.running()) {
@@ -860,6 +886,10 @@ int Serve(const std::map<std::string, std::string>& flags) {
   if (auto it = flags.find("port"); it != flags.end()) {
     port = std::atoi(it->second.c_str());
   }
+  // Before the server starts: a SIGTERM right after the readiness line
+  // (or while a full stdout pipe blocks it) must still stop cleanly.
+  std::signal(SIGINT, HandleServeSignal);
+  std::signal(SIGTERM, HandleServeSignal);
   if (!status_server.Start(static_cast<uint16_t>(port), &error)) {
     std::fprintf(stderr, "cannot start kb service on port %d: %s\n", port,
                  error.c_str());
@@ -873,8 +903,6 @@ int Serve(const std::map<std::string, std::string>& flags) {
               snapshot->num_entities(), snapshot->num_shards());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
   // --linger bounds the lifetime for scripted smoke tests; without it the
   // service runs until a signal arrives.
   double linger = -1.0;
@@ -995,13 +1023,8 @@ int Explain(const std::map<std::string, std::string>& flags,
             const std::string& query) {
   auto it = flags.find("ledger");
   if (it == flags.end()) return Usage();
-  std::ifstream in(it->second);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", it->second.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  std::string ledger;
+  if (!ReadInput(it->second, &ledger)) return 1;
 
   prov::ExplainOptions options;
   options.entity = query;
@@ -1010,7 +1033,7 @@ int Explain(const std::map<std::string, std::string>& flags,
   }
   options.first_only = flags.count("first") > 0;
   options.json = flags.count("json") > 0;
-  const prov::ExplainResult result = prov::Explain(buffer.str(), options);
+  const prov::ExplainResult result = prov::Explain(ledger, options);
   if (!result.ok) {
     std::fprintf(stderr, "%s: %s\n", it->second.c_str(),
                  result.error.c_str());
@@ -1022,17 +1045,12 @@ int Explain(const std::map<std::string, std::string>& flags,
 
 int AnalyzeTrace(const std::map<std::string, std::string>& flags,
                  const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  std::string trace;
+  if (!ReadInput(path, &trace)) return 1;
 
   obsv::TraceAnalysis analysis;
   std::string error;
-  if (!obsv::AnalyzeChromeTrace(buffer.str(), &analysis, &error)) {
+  if (!obsv::AnalyzeChromeTrace(trace, &analysis, &error)) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 1;
   }
@@ -1044,47 +1062,14 @@ int AnalyzeTrace(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
+/// `analyze-profile` and, with `heap`, `analyze-memory`: both read the
+/// collapsed stack lines with the CPU parser; a heap profile adds its
+/// header and span table.
 int AnalyzeProfile(const std::map<std::string, std::string>& flags,
-                   const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+                   const std::string& path, bool heap) {
+  std::string content;
+  if (!ReadInput(path, &content)) return 1;
 
-  obsv::ProfileAnalysis analysis;
-  std::string error;
-  if (!obsv::ParseCollapsedProfile(buffer.str(), &analysis, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  size_t top_n = 20;
-  if (auto it = flags.find("top"); it != flags.end()) {
-    top_n = static_cast<size_t>(std::atoll(it->second.c_str()));
-  }
-  if (flags.count("json")) {
-    std::printf("%s\n", obsv::ProfileAnalysisToJson(analysis, top_n).c_str());
-  } else {
-    std::fputs(obsv::ProfileAnalysisToText(analysis, top_n).c_str(), stdout);
-  }
-  return 0;
-}
-
-int AnalyzeMemory(const std::map<std::string, std::string>& flags,
-                  const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  // The stack lines share the collapsed format with CPU profiles; the
-  // heap-specific header + span table parse separately.
   obsv::ProfileAnalysis analysis;
   std::string error;
   if (!obsv::ParseCollapsedProfile(content, &analysis, &error)) {
@@ -1092,7 +1077,7 @@ int AnalyzeMemory(const std::map<std::string, std::string>& flags,
     return 1;
   }
   obsv::HeapProfileHeader header;
-  if (!obsv::ParseHeapProfileHeader(content, &header)) {
+  if (heap && !obsv::ParseHeapProfileHeader(content, &header)) {
     std::fprintf(stderr,
                  "%s: not a heap profile (no `heap=1` header — use "
                  "analyze-profile for CPU profiles)\n",
@@ -1105,9 +1090,11 @@ int AnalyzeMemory(const std::map<std::string, std::string>& flags,
   }
   if (flags.count("json")) {
     std::printf("%s\n",
-                obsv::HeapAnalysisToJson(analysis, header, top_n).c_str());
+                heap ? obsv::HeapAnalysisToJson(analysis, header, top_n).c_str()
+                     : obsv::ProfileAnalysisToJson(analysis, top_n).c_str());
   } else {
-    std::fputs(obsv::HeapAnalysisToText(analysis, header, top_n).c_str(),
+    std::fputs(heap ? obsv::HeapAnalysisToText(analysis, header, top_n).c_str()
+                    : obsv::ProfileAnalysisToText(analysis, top_n).c_str(),
                stdout);
   }
   return 0;
@@ -1136,24 +1123,12 @@ int main(int argc, char** argv) {
   if (command == "explain") {
     return Explain(flags, FirstPositional(argc, argv, 2));
   }
-  if (command == "analyze-trace") {
-    // The trace path is the first non-flag argument after the command.
-    for (int i = 2; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        return AnalyzeTrace(flags, argv[i]);
-      }
-    }
-    return Usage();
-  }
-  if (command == "analyze-profile") {
+  if (command == "analyze-trace" || command == "analyze-profile" ||
+      command == "analyze-memory") {
     const std::string path = FirstPositional(argc, argv, 2);
     if (path.empty()) return Usage();
-    return AnalyzeProfile(flags, path);
-  }
-  if (command == "analyze-memory") {
-    const std::string path = FirstPositional(argc, argv, 2);
-    if (path.empty()) return Usage();
-    return AnalyzeMemory(flags, path);
+    if (command == "analyze-trace") return AnalyzeTrace(flags, path);
+    return AnalyzeProfile(flags, path, command == "analyze-memory");
   }
   return Usage();
 }

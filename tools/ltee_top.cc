@@ -130,34 +130,57 @@ bool RenderFrame(const Options& options, int frame) {
   return true;
 }
 
-/// The hotspot panel of one frame: a live capture via GET /profile, then
-/// the top functions by self CPU and the per-span attribution. A busy
-/// profiler (503) renders as a note, not a failure — another client or a
-/// --profile-out run owns the only capture slot.
-bool RenderProfilePanel(const Options& options) {
+enum class Fetch { kParsed, kBusy, kFailed };
+
+/// The prologue both panels share: a live `seconds` capture via GET
+/// /profile or /memory (`what`), parsed — with the heap header and span
+/// table too when `header` is non-null. A busy sampler (503) prints as a
+/// note, not a failure: another client or a --profile-out run owns the
+/// only capture slot.
+Fetch FetchCapture(const Options& options, const char* what, int seconds,
+                   ltee::obsv::ProfileAnalysis* analysis,
+                   ltee::obsv::HeapProfileHeader* header) {
   int status = 0;
   std::string body, error;
   const std::string path =
-      "/profile?seconds=" + std::to_string(options.profile_seconds);
+      std::string("/") + what + "?seconds=" + std::to_string(seconds);
   if (!ltee::obsv::HttpGet(static_cast<uint16_t>(options.port), path,
                            &status, &body, &error)) {
-    std::printf("profile: cannot reach :%d%s: %s\n", options.port,
+    std::printf("%s: cannot reach :%d%s: %s\n", what, options.port,
                 path.c_str(), error.c_str());
-    return false;
+    return Fetch::kFailed;
   }
   if (status == 503) {
-    std::printf("profile: capture busy, retrying next frame\n");
-    return true;
+    std::printf("%s: capture busy, retrying next frame\n", what);
+    return Fetch::kBusy;
   }
   if (status != 200) {
-    std::printf("profile: GET %s returned HTTP %d\n", path.c_str(), status);
-    return false;
+    std::printf("%s: GET %s returned HTTP %d\n", what, path.c_str(), status);
+    return Fetch::kFailed;
   }
+  if (!ltee::obsv::ParseCollapsedProfile(body, analysis, &error) ||
+      (header != nullptr &&
+       !ltee::obsv::ParseHeapProfileHeader(body, header))) {
+    std::printf("%s: malformed %s: %s\n", what,
+                header != nullptr ? "heap profile" : "collapsed stacks",
+                error.c_str());
+    return Fetch::kFailed;
+  }
+  return Fetch::kParsed;
+}
+
+/// Keeps a panel narrow: long demangled names truncate on the right.
+std::string PanelName(const std::string& name) {
+  return name.size() > 56 ? name.substr(0, 53) + "..." : name;
+}
+
+/// The hotspot panel of one frame: a live CPU capture, then the top
+/// functions by self CPU and the per-span attribution.
+bool RenderProfilePanel(const Options& options) {
   ltee::obsv::ProfileAnalysis analysis;
-  if (!ltee::obsv::ParseCollapsedProfile(body, &analysis, &error)) {
-    std::printf("profile: malformed collapsed stacks: %s\n", error.c_str());
-    return false;
-  }
+  const Fetch fetch = FetchCapture(options, "profile", options.profile_seconds,
+                                   &analysis, nullptr);
+  if (fetch != Fetch::kParsed) return fetch == Fetch::kBusy;
   std::printf("hotspots %llu samples @ %d Hz over %.1fs (%llu dropped)\n",
               static_cast<unsigned long long>(analysis.samples), analysis.hz,
               analysis.duration_s,
@@ -170,12 +193,10 @@ bool RenderProfilePanel(const Options& options) {
   size_t shown = 0;
   for (const auto& frame : analysis.frames) {
     if (frame.self == 0 || shown >= 10) break;
-    // Keep the panel narrow: long demangled names truncate on the right.
-    std::string name = frame.name;
-    if (name.size() > 56) name = name.substr(0, 53) + "...";
     std::printf("  %5.1f%% %6llu  %s\n",
                 100.0 * static_cast<double>(frame.self) / denom,
-                static_cast<unsigned long long>(frame.self), name.c_str());
+                static_cast<unsigned long long>(frame.self),
+                PanelName(frame.name).c_str());
     ++shown;
   }
   std::string spans = "spans  ";
@@ -191,36 +212,15 @@ bool RenderProfilePanel(const Options& options) {
   return true;
 }
 
-/// The memory panel: a live sampled heap capture via GET /memory, then
-/// live tracked bytes, span byte attribution and the top allocation
-/// sites by live sampled bytes. Busy (503) renders as a note, mirroring
-/// the profile panel.
+/// The memory panel: a live sampled heap capture, then live tracked
+/// bytes, span byte attribution and the top allocation sites by live
+/// sampled bytes.
 bool RenderMemoryPanel(const Options& options) {
-  int status = 0;
-  std::string body, error;
-  const std::string path =
-      "/memory?seconds=" + std::to_string(options.memory_seconds);
-  if (!ltee::obsv::HttpGet(static_cast<uint16_t>(options.port), path,
-                           &status, &body, &error)) {
-    std::printf("memory: cannot reach :%d%s: %s\n", options.port,
-                path.c_str(), error.c_str());
-    return false;
-  }
-  if (status == 503) {
-    std::printf("memory: capture busy, retrying next frame\n");
-    return true;
-  }
-  if (status != 200) {
-    std::printf("memory: GET %s returned HTTP %d\n", path.c_str(), status);
-    return false;
-  }
   ltee::obsv::ProfileAnalysis analysis;
   ltee::obsv::HeapProfileHeader header;
-  if (!ltee::obsv::ParseCollapsedProfile(body, &analysis, &error) ||
-      !ltee::obsv::ParseHeapProfileHeader(body, &header)) {
-    std::printf("memory: malformed heap profile: %s\n", error.c_str());
-    return false;
-  }
+  const Fetch fetch = FetchCapture(options, "memory", options.memory_seconds,
+                                   &analysis, &header);
+  if (fetch != Fetch::kParsed) return fetch == Fetch::kBusy;
   const double mb = 1024.0 * 1024.0;
   std::printf(
       "memory  live %.1f MB in %llu allocations  peak-rss %.1f MB  "
@@ -244,10 +244,8 @@ bool RenderMemoryPanel(const Options& options) {
   size_t shown = 0;
   for (const auto& frame : analysis.frames) {
     if (frame.self == 0 || shown >= 10) break;
-    std::string name = frame.name;
-    if (name.size() > 56) name = name.substr(0, 53) + "...";
-    std::printf("  %8.1f KB  %s\n",
-                static_cast<double>(frame.self) / 1024.0, name.c_str());
+    std::printf("  %8.1f KB  %s\n", static_cast<double>(frame.self) / 1024.0,
+                PanelName(frame.name).c_str());
     ++shown;
   }
   if (shown == 0) {
